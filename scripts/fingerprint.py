@@ -1,0 +1,135 @@
+"""Print sha256 fingerprints of bigcross outputs, to compare two checkouts bit for bit.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python scripts/fingerprint.py
+
+and diff the output against the same command run in another checkout. The
+records are `bench.make_spec("erdos_renyi", 20260808, i)` for i below
+RECORDS whose graphs have at most MAX_N vertices. Each line is one group
+of outputs and the sha256 of their exact bytes (floats hashed as hex):
+
+- run:       final positions, iterations and `converged` of `engine.run`
+             for all four variants, default parameters;
+- measure:   the `metrics.measure` report of every final drawing;
+- crossings: the `find_crossings` list of every final drawing;
+- force:     `total_force` under every variant on every final drawing;
+- step:      one `step` per variant from drawings with coincident vertices
+             (alone, beside a crossing, and in a random drawing);
+- cli:       stdout and output file of `bigcross layout`, and stdout of
+             `bigcross measure --crossings`, on the first record.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+
+from bigcross import bench, cli, generators, io as gio
+from bigcross.crossings import find_crossings
+from bigcross.engine import initial_placement, run, step, total_force
+from bigcross.graph import VARIANTS, Layout, LayoutParams, make_graph
+from bigcross.metrics import measure
+
+RECORDS = 24
+MAX_N = 30
+
+
+def _feed(h, value):
+    if isinstance(value, float):
+        h.update(value.hex().encode())
+    elif isinstance(value, np.ndarray):
+        h.update(str(value.dtype).encode() + str(value.shape).encode() + value.tobytes())
+    elif isinstance(value, (list, tuple)):
+        h.update(b"[")
+        for v in value:
+            _feed(h, v)
+        h.update(b"]")
+    elif isinstance(value, dict):
+        for k in sorted(value):
+            h.update(k.encode())
+            _feed(h, value[k])
+    else:
+        h.update(repr(value).encode())
+    h.update(b";")
+
+
+def _cli(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"exit {code}\n{out.getvalue()}".encode()
+
+
+def main() -> int:
+    groups = {name: hashlib.sha256()
+              for name in ("run", "measure", "crossings", "force", "step", "cli")}
+    used = []
+    first = None
+    for i in range(RECORDS):
+        spec, seed = bench.make_spec("erdos_renyi", 20260808, i)
+        if spec.n > MAX_N:
+            continue
+        used.append(i)
+        graph = generators.generate(spec)
+        if first is None:
+            first = (graph, seed)
+        for variant in VARIANTS:
+            result = run(graph, LayoutParams(variant=variant), seed)
+            _feed(groups["run"], [i, variant, result.final.positions,
+                                  result.iterations, result.converged])
+            _feed(groups["measure"], measure(graph, result.final).to_dict())
+            found = find_crossings(graph, result.final)
+            _feed(groups["crossings"],
+                  [[c.edge_a, c.edge_b, c.point[0], c.point[1], c.theta] for c in found])
+            for fv in VARIANTS:
+                _feed(groups["force"], total_force(graph, result.final,
+                                                   LayoutParams(variant=fv), found))
+
+    # Coincident starts: an isolated pair, a pair beside two crossing edges,
+    # and a pair in a seeded random drawing.
+    g2 = make_graph(2, [(0, 1)])
+    g4 = make_graph(5, [(0, 1), (2, 3)])
+    drawings = [(g2, Layout([[0.5, 0.5], [0.5, 0.5]])),
+                (g4, Layout([[0, 0], [1, 1], [0, 1], [1, 0], [0, 0]]))]
+    graph, seed = first
+    lay = initial_placement(graph.n, seed).positions.copy()
+    lay[1] = lay[0]
+    drawings.append((graph, Layout(lay)))
+    for g, layout in drawings:
+        for variant in VARIANTS:
+            new, moved = step(g, layout, LayoutParams(variant=variant))
+            _feed(groups["step"], [new.positions, moved[0], moved[1]])
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            gio.write_edge_list(graph, "g.txt")
+            for algo in ("classical", "bigcross"):
+                _feed(groups["cli"], _cli(["layout", "--in", "g.txt", "--algo", algo,
+                                           "--seed", str(seed), "--out", "l.json"]))
+                with open("l.json", "rb") as fh:
+                    _feed(groups["cli"], fh.read())
+                _feed(groups["cli"], _cli(["measure", "--graph", "g.txt", "--layout",
+                                           "l.json", "--crossings"]))
+        finally:
+            os.chdir(cwd)
+
+    print(f"records {used}")
+    total = hashlib.sha256()
+    for name, h in groups.items():
+        digest = h.hexdigest()
+        total.update(digest.encode())
+        print(f"{name:<10} {digest}")
+    print(f"{'all':<10} {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

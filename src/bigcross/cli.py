@@ -22,14 +22,7 @@ from . import generators, io as gio
 from .bench import BenchError
 from .engine import run
 from .generators import GenSpec
-from .graph import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_MOVE_THRESHOLD,
-    HIGH_QUALITY_MAX_ITERATIONS,
-    HIGH_QUALITY_MOVE_THRESHOLD,
-    GraphError,
-    LayoutParams,
-)
+from .graph import GraphError, LayoutParams
 from .io import DataError
 from .metrics import measure
 
@@ -61,16 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _params_for(algo: str, variant: str, preset: str) -> LayoutParams:
-    kw = {}
-    if preset == "high-quality":
-        kw = {"move_threshold": HIGH_QUALITY_MOVE_THRESHOLD,
-              "max_iterations": HIGH_QUALITY_MAX_ITERATIONS}
-    else:
-        kw = {"move_threshold": DEFAULT_MOVE_THRESHOLD,
-              "max_iterations": DEFAULT_MAX_ITERATIONS}
-    if algo == "classical":
-        return LayoutParams(variant="classical", **kw)
-    return LayoutParams(variant=_VARIANT_FLAGS[variant], **kw)
+    make = LayoutParams.high_quality if preset == "high-quality" else LayoutParams
+    return make(variant="classical" if algo == "classical" else _VARIANT_FLAGS[variant])
 
 
 def _cmd_generate(args, parser: _Parser) -> int:

@@ -86,23 +86,21 @@ def crossing_angle(seg1, seg2) -> float:
 def _crossing_arrays(graph: Graph, pos: np.ndarray):
     """Vectorized proper-crossing scan over all non-adjacent edge pairs.
 
-    Returns (pairs, quads, points, thetas) where pairs is (K, 2) edge ids,
-    quads is (K, 4) vertex ids [a, b, c, d] of the two edges, points is
-    (K, 2) intersection coordinates and thetas is (K,) acute angles in
-    degrees. The existence test is the exact sign-of-orientation predicate,
-    vectorized with identical expressions to the scalar path.
+    Decides existence only, by the exact sign-of-orientation predicate
+    vectorized with identical expressions to the scalar path. Returns (rows,
+    quads): the ascending rows of graph.nonadjacent_edge_pairs that cross,
+    and (K, 4) vertex ids [a, b, c, d] of their two edges, from which
+    `_intersection_points` and `_acute_angles` derive the geometry. Raises
+    ValueError when pos does not hold one row per vertex.
     """
+    if pos.shape[0] != graph.n:
+        raise ValueError(f"layout has {pos.shape[0]} positions for a graph with {graph.n} vertices")
     cand = graph.nonadjacent_edge_pairs
-    empty = (
-        np.empty((0, 2), dtype=np.int64),
-        np.empty((0, 4), dtype=np.int64),
-        np.empty((0, 2), dtype=np.float64),
-        np.empty(0, dtype=np.float64),
-    )
+    empty = np.empty(0, dtype=np.int64), np.empty((0, 4), dtype=np.int64)
     if cand.shape[0] == 0:
         return empty
     ia, ib, ic, id_ = graph.pair_endpoint_ids
-    pe1, pe2 = graph.pair_edge_ids
+    pe1, pe2 = cand[:, 0], cand[:, 1]
     e = graph.edge_array
     px = np.ascontiguousarray(pos[:, 0])
     py = np.ascontiguousarray(pos[:, 1])
@@ -133,22 +131,28 @@ def _crossing_arrays(graph: Graph, pos: np.ndarray):
     o4 = sx * (y2 - y3) - sy * (x2 - x3)
     mask = (((o1 > 0) & (o2 < 0)) | ((o1 < 0) & (o2 > 0))) \
         & (((o3 > 0) & (o4 < 0)) | ((o3 < 0) & (o4 > 0)))
-    if not mask.any():
-        return empty
     idx = np.nonzero(mask)[0]
-    x1, y1, x3, y3 = x1[idx], y1[idx], x3[idx], y3[idx]
-    rx, ry, sx, sy = rx[idx], ry[idx], sx[idx], sy[idx]
-    denom = rx * sy - ry * sx
-    t = ((x3 - x1) * sy - (y3 - y1) * sx) / denom
-    points = np.stack([x1 + t * rx, y1 + t * ry], axis=1)
+    return sub[idx], np.stack([ia[idx], ib[idx], ic[idx], id_[idx]], axis=1)
+
+
+def _intersection_points(pos: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """(K, 2) intersection points of crossing edge pairs given as (K, 4) quads."""
+    p1, p3 = pos[quads[:, 0]], pos[quads[:, 2]]
+    r, s = pos[quads[:, 1]] - p1, pos[quads[:, 3]] - p3
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    t = ((p3[:, 0] - p1[:, 0]) * s[:, 1] - (p3[:, 1] - p1[:, 1]) * s[:, 0]) / denom
+    return np.stack([p1[:, 0] + t * r[:, 0], p1[:, 1] + t * r[:, 1]], axis=1)
+
+
+def _acute_angles(pos: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """(K,) acute angles in degrees of crossing edge pairs given as (K, 4) quads."""
+    r = pos[quads[:, 1]] - pos[quads[:, 0]]
+    s = pos[quads[:, 3]] - pos[quads[:, 2]]
+    rx, ry, sx, sy = r[:, 0], r[:, 1], s[:, 0], s[:, 1]
     dot = rx * sx + ry * sy
     nr = np.sqrt(rx * rx + ry * ry)
     ns = np.sqrt(sx * sx + sy * sy)
-    thetas = np.degrees(np.arccos(np.minimum(np.abs(dot) / (nr * ns), 1.0)))
-    pair_rows = sub[idx]
-    pairs = cand[pair_rows]
-    quads = np.stack([ia[idx], ib[idx], ic[idx], id_[idx]], axis=1)
-    return pairs, quads, points, thetas
+    return np.degrees(np.arccos(np.minimum(np.abs(dot) / (nr * ns), 1.0)))
 
 
 def find_crossings(graph: Graph, layout: Layout) -> list[Crossing]:
@@ -156,13 +160,12 @@ def find_crossings(graph: Graph, layout: Layout) -> list[Crossing]:
 
     Each crossing pair is listed once (edge_a < edge_b, lexicographic order)
     with its intersection point and acute angle. Pairs of edges that share
-    an endpoint are never candidates. The scan is a naive pairwise pass.
+    an endpoint are never candidates. Raises ValueError when the layout's
+    size does not match the graph.
     """
-    if layout.n != graph.n:
-        raise ValueError(f"layout has {layout.n} positions for a graph with {graph.n} vertices")
-    pairs, _, points, thetas = _crossing_arrays(graph, layout.positions)
-    return [
-        Crossing(int(pairs[k, 0]), int(pairs[k, 1]),
-                 (float(points[k, 0]), float(points[k, 1])), float(thetas[k]))
-        for k in range(pairs.shape[0])
-    ]
+    rows, quads = _crossing_arrays(graph, layout.positions)
+    pairs = graph.nonadjacent_edge_pairs[rows].tolist()
+    points = _intersection_points(layout.positions, quads).tolist()
+    thetas = _acute_angles(layout.positions, quads).tolist()
+    return [Crossing(a, b, (x, y), theta)
+            for (a, b), (x, y), theta in zip(pairs, points, thetas)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossings import Crossing, _crossing_arrays
+from .crossings import Crossing, _crossing_arrays, _intersection_points
 from .forces import (
     COINCIDENCE_EPS,
     _attract_repel_arrays,
@@ -61,29 +61,47 @@ def _jitter_angle(u: int, v: int) -> float:
     return (h / float(1 << 32)) * 2.0 * math.pi
 
 
-def _resolve_coincidences(pos: np.ndarray) -> np.ndarray:
+def _distance_pass(pos: np.ndarray):
+    """Pairwise differences (n, n, 2) and squared distances (n, n), inf on the diagonal."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return diff, d2
+
+
+def _resolve_coincidences(pos: np.ndarray, diff: np.ndarray, d2: np.ndarray):
     """Separate coincident vertex pairs by a deterministic 1e-6 displacement.
 
-    For each pair closer than COINCIDENCE_EPS the higher-indexed vertex is
-    nudged along a direction hashed from the id pair, breaking the symmetry
-    reproducibly instead of feeding the 1/d^2 term an infinity.
+    diff and d2 are the `_distance_pass` arrays of pos. For each pair closer
+    than COINCIDENCE_EPS the higher-indexed vertex of a copy of pos is nudged
+    along a direction hashed from the id pair, breaking the symmetry
+    reproducibly instead of feeding the 1/d^2 term an infinity. Returns
+    (pos, diff, d2): the inputs unchanged when no pair is coincident, else
+    the jittered copy and its own `_distance_pass`.
     """
-    n = pos.shape[0]
-    if n < 2:
-        return pos
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = (diff * diff).sum(-1)
-    np.fill_diagonal(d2, np.inf)
     if d2.min() >= COINCIDENCE_EPS * COINCIDENCE_EPS:
-        return pos
+        return pos, diff, d2
     pos = pos.copy()
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = np.triu_indices(pos.shape[0], k=1)
     hit = d2[iu, ju] < COINCIDENCE_EPS * COINCIDENCE_EPS
     for u, v in zip(iu[hit], ju[hit]):
         ang = _jitter_angle(int(u), int(v))
         pos[v, 0] += 1e-6 * math.cos(ang)
         pos[v, 1] += 1e-6 * math.sin(ang)
-    return pos
+    return (pos, *_distance_pass(pos))
+
+
+def _repulsion(diff: np.ndarray, d2: np.ndarray, k_r: float) -> np.ndarray:
+    """(n, 2) inverse-square repulsion from `_distance_pass` arrays, which it overwrites."""
+    # Coincident pairs contribute nothing; the jitter pass owns them.
+    d2[d2 < COINCIDENCE_EPS * COINCIDENCE_EPS] = np.inf
+    d3 = np.sqrt(d2)
+    d3 *= d2
+    # Extreme constants may overflow to inf here; the step aborts on any
+    # non-finite force, so suppress the warning rather than the signal.
+    with np.errstate(over="ignore"):
+        diff /= d3[:, :, None]
+        return k_r * diff.sum(axis=1)
 
 
 def _cosine_active(params: LayoutParams) -> bool:
@@ -91,12 +109,13 @@ def _cosine_active(params: LayoutParams) -> bool:
 
 
 def _force_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams,
-                  quads, points) -> np.ndarray:
+                  repulsion: np.ndarray, quads) -> np.ndarray:
     """Accumulate all forces into an (n, 2) array.
 
-    quads/points describe the current crossings ((K, 4) endpoint vertex ids
-    and (K, 2) intersection coordinates) and may be None when the cosine
-    force is inactive. Summation order is fixed, so results are reproducible.
+    repulsion is the (n, 2) term of `_repulsion`. quads holds the (K, 4)
+    endpoint vertex ids of the current crossings, or None when the cosine
+    force is inactive. Summation order is fixed (springs, repulsion, cosine),
+    so results are reproducible.
     """
     n = graph.n
     F = np.zeros((n, 2), dtype=np.float64)
@@ -114,17 +133,7 @@ def _force_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams,
         F[:, 0] += np.bincount(idx, np.concatenate([fv[:, 0], -fv[:, 0]]), minlength=n)
         F[:, 1] += np.bincount(idx, np.concatenate([fv[:, 1], -fv[:, 1]]), minlength=n)
 
-    if n >= 2:
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = (diff * diff).sum(axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        # Coincident pairs contribute nothing; the jitter pass owns them.
-        d2 = np.where(d2 < COINCIDENCE_EPS * COINCIDENCE_EPS, np.inf, d2)
-        d3 = d2 * np.sqrt(d2)
-        # Extreme constants may overflow to inf here; the step aborts on any
-        # non-finite force, so suppress the warning rather than the signal.
-        with np.errstate(over="ignore"):
-            F += params.k_r * (diff / d3[:, :, None]).sum(axis=1)
+    F += repulsion
 
     if quads is not None and quads.shape[0]:
         pa = pos[quads[:, 0]]
@@ -136,6 +145,7 @@ def _force_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams,
         elif params.variant == "rotational":
             fa, fb, fc, fd = _rotational_arrays(pa, pb, pc, pd, params.k_cos)
         else:
+            points = _intersection_points(pos, quads)
             fa, fb, fc, fd = _attract_repel_arrays(pa, pb, pc, pd, points, params.k_cos)
         idx = np.concatenate([quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]])
         wx = np.concatenate([fa[:, 0], fb[:, 0], fc[:, 0], fd[:, 0]])
@@ -155,25 +165,24 @@ def total_force(graph: Graph, layout: Layout, params: LayoutParams,
     cosine force over every listed crossing. The crossings must have been
     computed from this same layout.
     """
-    quads = points = None
+    pos = layout.positions
+    quads = None
     if _cosine_active(params) and crossings:
-        e = graph.edge_array
-        quads = np.array(
-            [[e[c.edge_a, 0], e[c.edge_a, 1], e[c.edge_b, 0], e[c.edge_b, 1]]
-             for c in crossings], dtype=np.int64)
-        points = np.array([c.point for c in crossings], dtype=np.float64)
-    return _force_arrays(graph, layout.positions, params, quads, points)
+        pairs = np.array([(c.edge_a, c.edge_b) for c in crossings], dtype=np.int64)
+        quads = graph.edge_array[pairs].reshape(-1, 4)
+    repulsion = _repulsion(*_distance_pass(pos), params.k_r)
+    return _force_arrays(graph, pos, params, repulsion, quads)
 
 
 def _step_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams):
     """One iteration on raw position arrays; returns (new_pos, (max_dx, max_dy))."""
     pos_in = pos
-    pos = _resolve_coincidences(pos)
-    if _cosine_active(params):
-        _, quads, points, _ = _crossing_arrays(graph, pos)
-    else:
-        quads = points = None
-    F = _force_arrays(graph, pos, params, quads, points)
+    pos, diff, d2 = _resolve_coincidences(pos, *_distance_pass(pos))
+    repulsion = _repulsion(diff, d2, params.k_r)
+    # Free the n x n arrays before the crossing scan allocates its own.
+    del diff, d2
+    quads = _crossing_arrays(graph, pos)[1] if _cosine_active(params) else None
+    F = _force_arrays(graph, pos, params, repulsion, quads)
     if not np.all(np.isfinite(F)):
         bad = np.nonzero(~np.isfinite(F).all(axis=1))[0]
         raise EngineError(f"non-finite force on vertices {bad.tolist()[:5]}")

@@ -120,15 +120,6 @@ class Graph:
             arr.flags.writeable = False
         return out
 
-    @cached_property
-    def pair_edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two edge ids of every non-adjacent pair, as contiguous (P,) arrays."""
-        pairs = self.nonadjacent_edge_pairs
-        out = (np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1]))
-        for arr in out:
-            arr.flags.writeable = False
-        return out
-
 
 def make_graph(n: int, edges) -> Graph:
     """Build a validated, canonicalized Graph from a vertex count and edge pairs.

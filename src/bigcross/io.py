@@ -90,17 +90,23 @@ def read_layout(path) -> tuple[Layout, dict]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"not valid JSON: {path}") from exc
-    try:
-        positions = doc["positions"]
-        n = doc["n"]
-    except (KeyError, TypeError) as exc:
-        raise DataError("layout file must carry 'n' and 'positions'") from exc
+    if not isinstance(doc, dict) or "n" not in doc or "positions" not in doc:
+        raise DataError("layout file must be an object carrying 'n' and 'positions'")
+    n, positions = doc["n"], doc["positions"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DataError(f"layout field 'n' must be an integer, got {n!r}")
+    if not isinstance(positions, list):
+        raise DataError(f"layout field 'positions' must be a list, got {type(positions).__name__}")
+    for i, row in enumerate(positions):
+        if not (isinstance(row, list) and len(row) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)):
+            raise DataError(f"layout field 'positions' row {i} is not an [x, y] pair of numbers")
     if len(positions) != n:
         raise DataError(f"layout file claims n={n} but has {len(positions)} positions")
     try:
         layout = Layout(positions)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"layout field 'positions': {exc}") from exc
     return layout, doc
 
 

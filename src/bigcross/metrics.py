@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .crossings import find_crossings
+from .crossings import _acute_angles, _crossing_arrays
 from .graph import Graph, Layout
 
 # Sentinel reported when no vertex has two incident edge directions to
@@ -93,10 +93,11 @@ def measure(graph: Graph, layout: Layout) -> MetricsReport:
 
     Crossing-angle statistics use the acute angle of each crossing pair, one
     sample per pair; with zero crossings both angle fields are reported as 0.
+    Raises ValueError when the layout's size does not match the graph.
     """
-    cross = find_crossings(graph, layout)
-    angle_mean, angle_std = _population_stats([c.theta for c in cross])
     pos = layout.positions
+    _, quads = _crossing_arrays(graph, pos)
+    angle_mean, angle_std = _population_stats(_acute_angles(pos, quads))
     e = graph.edge_array
     if e.shape[0]:
         delta = pos[e[:, 0]] - pos[e[:, 1]]
@@ -105,7 +106,7 @@ def measure(graph: Graph, layout: Layout) -> MetricsReport:
         lengths = []
     len_mean, len_std = _population_stats(lengths)
     return MetricsReport(
-        crossings=len(cross),
+        crossings=quads.shape[0],
         angle_mean=angle_mean,
         angle_stddev=angle_std,
         edge_len_mean=len_mean,

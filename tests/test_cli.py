@@ -217,6 +217,29 @@ class TestCliMeasure:
         assert res.returncode == 2
 
 
+class TestMalformedLayout:
+    @pytest.mark.parametrize("doc, named", [
+        ({"n": 3, "positions": 5}, "'positions'"),
+        ({"n": "2", "positions": [[0, 0], [1, 1]]}, "'n'"),
+        ({"n": True, "positions": [[0, 0]]}, "'n'"),
+        ({"n": 2, "positions": [[0, 0], [1]]}, "'positions' row 1"),
+        ([[0, 0], [1, 1]], "object"),
+        ({"n": 2, "positions": [[10 ** 400, 0], [1, 1]]}, "'positions'"),
+    ], ids=["positions-scalar", "n-string", "n-bool", "ragged-row", "top-level-list",
+            "int-overflows-float"])
+    @pytest.mark.parametrize("command", ["measure", "render"])
+    def test_data_error_exit(self, tmp_path, doc, named, command):
+        gpath = tmp_path / "g.txt"
+        write_edge_list(make_graph(1, []), gpath)
+        lpath = tmp_path / "l.json"
+        lpath.write_text(json.dumps(doc))
+        extra = ["--out", str(tmp_path / "d.svg")] if command == "render" else []
+        res = cli(command, "--graph", str(gpath), "--layout", str(lpath), *extra)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("bigcross: ") and named in res.stderr
+
+
 class TestCliBench:
     def test_count_below_minimum_is_usage_error(self, tmp_path):
         res = cli("bench", "--models", "erdos-renyi", "--count", "3",

@@ -144,14 +144,35 @@ class TestStep:
         assert mm[0] == pytest.approx(params.max_disp)
 
     def test_coincident_vertices_jittered(self):
-        g = make_graph(2, [(0, 1)])
-        lay = Layout([[0.5, 0.5], [0.5, 0.5]])
-        new1, _ = step(g, lay, LayoutParams())
-        new2, _ = step(g, lay, LayoutParams())
-        assert np.all(np.isfinite(new1.positions))
-        assert new1.positions.tobytes() == new2.positions.tobytes()
-        # The pair must have separated.
-        assert not np.array_equal(new1.positions[0], new1.positions[1])
+        cases = [
+            (make_graph(2, [(0, 1)]), Layout([[0.5, 0.5], [0.5, 0.5]]), LayoutParams(), (0, 1)),
+            # Vertex 4 sits on vertex 2 and ends edge (0, 4), which crosses
+            # (1, 3): the jitter moves a crossing endpoint before the scan.
+            (make_graph(5, [(0, 4), (1, 3)]), Layout([[0, 0], [0, 1], [1, 1], [1, 0], [1, 1]]),
+             LayoutParams(variant="attract_repel"), (2, 4)),
+        ]
+        assert len(find_crossings(*cases[1][:2])) == 1
+        for g, lay, params, (u, v) in cases:
+            new1, _ = step(g, lay, params)
+            new2, _ = step(g, lay, params)
+            assert np.all(np.isfinite(new1.positions))
+            assert new1.positions.tobytes() == new2.positions.tobytes()
+            # The pair must have separated. Repulsion over the 1e-6 jittered
+            # distance caps both moves, so it comes out near 2 * max_disp.
+            assert math.dist(new1.positions[u], new1.positions[v]) > params.max_disp
+
+    @pytest.mark.parametrize("variant", ["classical", "parallel", "rotational", "attract_repel"])
+    def test_matches_scalar_oracle(self, variant):
+        params = LayoutParams(variant=variant)
+        for seed in range(5):
+            g = gen_erdos_renyi(10, 18, seed=seed)
+            lay = initial_placement(10, seed=seed + 50)
+            disp = params.step * scalar_total_force(g, lay, params)
+            mags = np.sqrt((disp * disp).sum(axis=1))
+            over = mags > params.max_disp
+            disp[over] *= (params.max_disp / mags[over])[:, None]
+            new, _ = step(g, lay, params)
+            assert np.allclose(new.positions, lay.positions + disp, rtol=0, atol=1e-12)
 
     def test_non_finite_force_aborts(self):
         g = make_graph(2, [])

@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
+from bigcross.crossings import find_crossings
+from bigcross.engine import initial_placement
+from bigcross.generators import gen_erdos_renyi
 from bigcross.graph import Layout, make_graph
 from bigcross.metrics import (
     ANGULAR_RESOLUTION_UNDEFINED,
@@ -104,6 +108,24 @@ class TestMeasure:
         assert rep1.angle_mean == pytest.approx(rep2.angle_mean, abs=1e-9)
         assert rep1.edge_len_stddev == pytest.approx(rep2.edge_len_stddev, abs=1e-9)
         assert rep1.angular_resolution == pytest.approx(rep2.angular_resolution, abs=1e-9)
+
+    def test_agrees_with_find_crossings(self):
+        for seed in range(4):
+            g = gen_erdos_renyi(30, 60, seed=seed)
+            lay = initial_placement(30, seed=seed + 40)
+            found = find_crossings(g, lay)
+            assert len(found) >= 200
+            rep = measure(g, lay)
+            assert rep.crossings == len(found)
+            thetas = np.array([c.theta for c in found])
+            mean = float(thetas.mean())
+            assert rep.angle_mean == mean
+            assert rep.angle_stddev == float(np.sqrt(((thetas - mean) ** 2).mean()))
+
+    def test_size_mismatch_rejected(self):
+        g, lay = k4_square()
+        with pytest.raises(ValueError, match="positions for a graph"):
+            measure(g, Layout(lay.positions[:3]))
 
 
 class TestAngularResolution:

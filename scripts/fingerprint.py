@@ -17,7 +17,11 @@ of outputs and the sha256 of their exact bytes (floats hashed as hex):
 - step:      one `step` per variant from drawings with coincident vertices
              (alone, beside a crossing, and in a random drawing);
 - cli:       stdout and output file of `bigcross layout`, and stdout of
-             `bigcross measure --crossings`, on the first record.
+             `bigcross measure` with and without `--crossings`, on the first
+             record;
+- bench:     the `write_record` file of `run_pair` on every record (at most
+             BENCH_ITERATIONS iterations a side, wall times set to 0.0), and
+             the `summarize` CSV over those records.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import hashlib
 import io
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from bigcross.metrics import measure
 
 RECORDS = 24
 MAX_N = 30
+BENCH_ITERATIONS = 2000
 
 
 def _feed(h, value):
@@ -68,8 +74,9 @@ def _cli(argv) -> bytes:
 
 def main() -> int:
     groups = {name: hashlib.sha256()
-              for name in ("run", "measure", "crossings", "force", "step", "cli")}
+              for name in ("run", "measure", "crossings", "force", "step", "cli", "bench")}
     used = []
+    records = []
     first = None
     for i in range(RECORDS):
         spec, seed = bench.make_spec("erdos_renyi", 20260808, i)
@@ -90,6 +97,9 @@ def main() -> int:
             for fv in VARIANTS:
                 _feed(groups["force"], total_force(graph, result.final,
                                                    LayoutParams(variant=fv), found))
+        record = bench.run_pair(graph, LayoutParams(max_iterations=BENCH_ITERATIONS), seed,
+                                graph_spec=spec)
+        records.append(replace(record, classical_time=0.0, bigcross_time=0.0))
 
     # Coincident starts: an isolated pair, a pair beside two crossing edges,
     # and a pair in a seeded random drawing.
@@ -117,7 +127,14 @@ def main() -> int:
                 with open("l.json", "rb") as fh:
                     _feed(groups["cli"], fh.read())
                 _feed(groups["cli"], _cli(["measure", "--graph", "g.txt", "--layout",
+                                           "l.json"]))
+                _feed(groups["cli"], _cli(["measure", "--graph", "g.txt", "--layout",
                                            "l.json", "--crossings"]))
+            for record in records:
+                bench.write_record(record, "r.json")
+                with open("r.json", "rb") as fh:
+                    _feed(groups["bench"], fh.read())
+            _feed(groups["bench"], bench.summarize(records).to_csv_text())
         finally:
             os.chdir(cwd)
 

@@ -9,13 +9,12 @@ comparing both algorithms from identical initial placements.
 """
 
 from .bench import BenchRecord, BenchSummary, run_benchmark, run_pair, summarize
-from .crossings import Crossing, crossing_angle, find_crossings, proper_intersection
+from .crossings import Crossing, find_crossings, proper_intersection
 from .engine import EngineError, RunResult, initial_placement, run, step, total_force
 from .forces import (
     CrossingForces,
     ForceVector,
     attract_repel_cosine,
-    cosine_magnitude,
     parallel_cosine,
     repulsive_force,
     rotational_cosine,
@@ -30,7 +29,7 @@ from .generators import (
     gen_watts_strogatz,
     generate,
 )
-from .graph import Graph, GraphError, Layout, LayoutParams, distance, make_graph
+from .graph import Graph, GraphError, Layout, LayoutParams, make_graph
 from .io import read_edge_list, read_layout, render_svg, write_edge_list, write_layout
 from .metrics import MetricsReport, angular_resolution, measure
 from .stats import WilcoxonResult, median, wilcoxon_signed_rank
@@ -41,12 +40,11 @@ __all__ = [
     "BenchRecord", "BenchSummary", "Crossing", "CrossingForces", "EngineError",
     "ForceVector", "GenSpec", "Graph", "GraphError", "Layout", "LayoutParams",
     "MetricsReport", "RunResult", "WilcoxonResult", "angular_resolution",
-    "attract_repel_cosine", "classic", "cosine_magnitude", "crossing_angle",
-    "distance", "find_crossings", "gen_eppstein_wang", "gen_erdos_renyi",
-    "gen_random_planar", "gen_watts_strogatz", "generate", "initial_placement",
-    "make_graph", "measure", "median", "parallel_cosine", "proper_intersection",
-    "read_edge_list", "read_layout", "render_svg", "repulsive_force", "run",
-    "run_benchmark", "run_pair", "rotational_cosine", "spring_force", "step",
-    "summarize", "total_force", "wilcoxon_signed_rank", "write_edge_list",
-    "write_layout",
+    "attract_repel_cosine", "classic", "find_crossings", "gen_eppstein_wang",
+    "gen_erdos_renyi", "gen_random_planar", "gen_watts_strogatz", "generate",
+    "initial_placement", "make_graph", "measure", "median", "parallel_cosine",
+    "proper_intersection", "read_edge_list", "read_layout", "render_svg",
+    "repulsive_force", "run", "run_benchmark", "run_pair", "rotational_cosine",
+    "spring_force", "step", "summarize", "total_force", "wilcoxon_signed_rank",
+    "write_edge_list", "write_layout",
 ]

@@ -19,7 +19,7 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .engine import initial_placement, run
 from .generators import GenSpec, generate
@@ -56,35 +56,15 @@ class BenchRecord:
     bigcross_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "graph_spec": self.graph_spec.to_dict(),
-            "seed": self.seed,
-            "initial_metrics": self.initial_metrics.to_dict(),
-            "classical_metrics": self.classical_metrics.to_dict(),
-            "bigcross_metrics": self.bigcross_metrics.to_dict(),
-            "classical_iters": self.classical_iters,
-            "bigcross_iters": self.bigcross_iters,
-            "classical_converged": self.classical_converged,
-            "bigcross_converged": self.bigcross_converged,
-            "classical_time": self.classical_time,
-            "bigcross_time": self.bigcross_time,
-        }
+        return {**asdict(self), "graph_spec": self.graph_spec.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchRecord":
-        return cls(
-            graph_spec=GenSpec.from_dict(d["graph_spec"]),
-            seed=d["seed"],
-            initial_metrics=MetricsReport.from_dict(d["initial_metrics"]),
-            classical_metrics=MetricsReport.from_dict(d["classical_metrics"]),
-            bigcross_metrics=MetricsReport.from_dict(d["bigcross_metrics"]),
-            classical_iters=d["classical_iters"],
-            bigcross_iters=d["bigcross_iters"],
-            classical_converged=d["classical_converged"],
-            bigcross_converged=d["bigcross_converged"],
-            classical_time=d["classical_time"],
-            bigcross_time=d["bigcross_time"],
-        )
+        kw = {f.name: d[f.name] for f in fields(cls)}
+        kw["graph_spec"] = GenSpec.from_dict(kw["graph_spec"])
+        for name in ("initial_metrics", "classical_metrics", "bigcross_metrics"):
+            kw[name] = MetricsReport.from_dict(kw[name])
+        return cls(**kw)
 
 
 @dataclass(frozen=True)

@@ -20,29 +20,20 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import generators, io as gio
 from .bench import BenchError
+from .crossings import find_crossings
 from .engine import run
 from .generators import GenSpec
-from .graph import GraphError, LayoutParams
+from .graph import VARIANTS, GraphError, LayoutParams
 from .io import DataError
-from .metrics import measure
+from .metrics import _report, measure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_MODEL_FLAGS = {
-    "erdos-renyi": "erdos_renyi",
-    "watts-strogatz": "watts_strogatz",
-    "eppstein-wang": "eppstein_wang",
-    "random-planar": "random_planar",
-    "classic": "classic",
-}
+_MODEL_FLAGS = {m.replace("_", "-"): m for m in generators.MODELS}
 
-_VARIANT_FLAGS = {
-    "parallel": "parallel",
-    "rotational": "rotational",
-    "attract-repel": "attract_repel",
-}
+_VARIANT_FLAGS = {v.replace("_", "-"): v for v in VARIANTS if v != "classical"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,15 +101,16 @@ def _cmd_measure(args, parser: _Parser) -> int:
     layout, _ = gio.read_layout(args.layout)
     if layout.n != graph.n:
         raise DataError(f"graph has {graph.n} vertices but layout has {layout.n} positions")
-    report = measure(graph, layout)
-    doc = report.to_dict()
     if args.crossings:
-        from .crossings import find_crossings
+        found = find_crossings(graph, layout)
+        doc = _report(graph, layout, [c.theta for c in found]).to_dict()
         doc["crossing_list"] = [
             {"edge_a": c.edge_a, "edge_b": c.edge_b,
              "point": [c.point[0], c.point[1]], "theta": c.theta}
-            for c in find_crossings(graph, layout)
+            for c in found
         ]
+    else:
+        doc = measure(graph, layout).to_dict()
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -228,6 +220,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"bigcross: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"bigcross: input too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

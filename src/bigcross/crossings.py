@@ -11,7 +11,6 @@ the crossing decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,25 +61,6 @@ def proper_intersection(seg1, seg2):
     denom = rx * sy - ry * sx
     t = ((p3[0] - p1[0]) * sy - (p3[1] - p1[1]) * sx) / denom
     return (p1[0] + t * rx, p1[1] + t * ry)
-
-
-def crossing_angle(seg1, seg2) -> float:
-    """Acute angle in degrees between two segments, in (0, 90].
-
-    Defined for properly intersecting segments (for which the directions
-    cannot be parallel, so the angle is strictly positive). Raises
-    ValueError for a zero-length segment.
-    """
-    p1, p2 = seg1
-    p3, p4 = seg2
-    ux, uy = p2[0] - p1[0], p2[1] - p1[1]
-    vx, vy = p4[0] - p3[0], p4[1] - p3[1]
-    nu = math.sqrt(ux * ux + uy * uy)
-    nv = math.sqrt(vx * vx + vy * vy)
-    if nu < 1e-12 or nv < 1e-12:
-        raise ValueError("crossing_angle is undefined for a zero-length segment")
-    c = abs(ux * vx + uy * vy) / (nu * nv)
-    return math.degrees(math.acos(min(c, 1.0)))
 
 
 def _crossing_arrays(graph: Graph, pos: np.ndarray):

@@ -14,7 +14,13 @@ For every scheme the sign is fixed so that an infinitesimal step along the
 returned forces decreases |cos(theta)|, i.e. drives the crossing toward a
 right angle. The parallel and rotational schemes apply equal-and-opposite
 forces to the two endpoints of each edge, so their net force per crossing
-is zero.
+is zero. Their net torque is not: with unit directions u = (b-a)/L_ab and
+v = (d-c)/L_cd, s = u . v and u x v the 2D cross product, it is
+
+- parallel:   k_cos * s * (u x v) * (L_cd - L_ab),
+- rotational: k_cos * |s| * sign(s * (u x v)) * (L_cd - L_ab),
+
+so only a crossing of two equal-length edges leaves the drawing unspun.
 
 Scalar kernels share one vectorized implementation with the layout engine,
 so per-crossing results are identical whichever path computes them.
@@ -54,16 +60,11 @@ class CrossingForces:
     on_d: ForceVector
 
 
-def coincident(p_u, p_v) -> bool:
-    """True when two points are too close to define a direction between them."""
-    return math.hypot(p_u[0] - p_v[0], p_u[1] - p_v[1]) < COINCIDENCE_EPS
-
-
 def spring_force(p_u, p_v, k_s: float, l: float) -> ForceVector:
     """Hooke spring force on v from the edge (u, v): magnitude k_s*(d - l).
 
     Attracts v toward u when the spring is stretched (d > l), pushes it away
-    when compressed. Coincident endpoints yield zero (see `coincident`).
+    when compressed. Endpoints closer than COINCIDENCE_EPS yield zero.
     """
     dx, dy = p_u[0] - p_v[0], p_u[1] - p_v[1]
     d = math.hypot(dx, dy)
@@ -81,16 +82,6 @@ def repulsive_force(p_u, p_v, k_r: float) -> ForceVector:
         return ForceVector(0.0, 0.0)
     mag = k_r / (d * d)
     return ForceVector(mag * dx / d, mag * dy / d)
-
-
-def cosine_magnitude(theta: float, k_cos: float) -> float:
-    """Cosine-force magnitude k_cos * cos(theta) for theta in degrees, (0, 90].
-
-    A right angle yields exactly zero (cos(radians(90)) would round to ~6e-17).
-    """
-    if theta == 90.0:
-        return 0.0
-    return k_cos * math.cos(math.radians(theta))
 
 
 def _unit(dx: np.ndarray, dy: np.ndarray):

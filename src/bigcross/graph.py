@@ -7,7 +7,6 @@ safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,11 +129,6 @@ def make_graph(n: int, edges) -> Graph:
     return Graph(n, tuple((int(u), int(v)) for u, v in edges))
 
 
-def distance(p_u, p_v) -> float:
-    """Euclidean distance between two 2D points."""
-    return math.hypot(p_u[0] - p_v[0], p_u[1] - p_v[1])
-
-
 @dataclass(frozen=True, eq=False)
 class Layout:
     """One 2D position per vertex, in units of the natural spring length.
@@ -200,10 +194,6 @@ class LayoutParams:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations}")
-
-    @classmethod
-    def classical(cls, **kw) -> "LayoutParams":
-        return cls(variant="classical", **kw)
 
     @classmethod
     def high_quality(cls, **kw) -> "LayoutParams":

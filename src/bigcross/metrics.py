@@ -11,7 +11,7 @@ population of interest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,9 +43,7 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**{k: d[k] for k in
-                      ("crossings", "angle_mean", "angle_stddev",
-                       "edge_len_mean", "edge_len_stddev", "angular_resolution")})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _population_stats(values) -> tuple[float, float]:
@@ -95,9 +93,14 @@ def measure(graph: Graph, layout: Layout) -> MetricsReport:
     sample per pair; with zero crossings both angle fields are reported as 0.
     Raises ValueError when the layout's size does not match the graph.
     """
+    _, quads = _crossing_arrays(graph, layout.positions)
+    return _report(graph, layout, _acute_angles(layout.positions, quads))
+
+
+def _report(graph: Graph, layout: Layout, thetas) -> MetricsReport:
+    """The six measures, given the acute angles of the drawing's crossings."""
     pos = layout.positions
-    _, quads = _crossing_arrays(graph, pos)
-    angle_mean, angle_std = _population_stats(_acute_angles(pos, quads))
+    angle_mean, angle_std = _population_stats(thetas)
     e = graph.edge_array
     if e.shape[0]:
         delta = pos[e[:, 0]] - pos[e[:, 1]]
@@ -106,7 +109,7 @@ def measure(graph: Graph, layout: Layout) -> MetricsReport:
         lengths = []
     len_mean, len_std = _population_stats(lengths)
     return MetricsReport(
-        crossings=quads.shape[0],
+        crossings=len(thetas),
         angle_mean=angle_mean,
         angle_stddev=angle_std,
         edge_len_mean=len_mean,

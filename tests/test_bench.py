@@ -17,7 +17,7 @@ from bigcross.bench import (
     write_record,
 )
 from bigcross.engine import run
-from bigcross.generators import GenSpec, gen_erdos_renyi
+from bigcross.generators import GenSpec, gen_erdos_renyi, generate
 from bigcross.graph import LayoutParams
 from bigcross.metrics import MetricsReport, measure
 
@@ -60,12 +60,15 @@ class TestRunPair:
         assert rec.bigcross_iters == rec.classical_iters
 
     def test_json_roundtrip(self, tmp_path):
-        g = gen_erdos_renyi(8, 12, seed=4)
-        spec = GenSpec(model="erdos_renyi", n=8, seed=4, params={"m": 12})
-        rec = run_pair(g, FAST, seed=7, graph_spec=spec)
-        path = tmp_path / "rec.json"
-        write_record(rec, path)
-        assert read_record(path) == rec
+        for model in ("erdos_renyi", "random_planar"):
+            spec = GenSpec(model=model, n=8, seed=4, params={"m": 12})
+            rec = run_pair(generate(spec), FAST, seed=7, graph_spec=spec)
+            path = tmp_path / f"{model}.json"
+            write_record(rec, path)
+            assert read_record(path) == rec
+            written = json.loads(path.read_text())["graph_spec"]
+            assert written == spec.to_dict()
+            assert ("note" in written) == (model == "random_planar")
 
 
 class TestSummarize:

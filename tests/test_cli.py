@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from bigcross import cli as cli_mod, crossings, engine, metrics
+from bigcross.generators import gen_erdos_renyi
 from bigcross.graph import Layout, make_graph
 from bigcross.io import (
     DataError,
@@ -16,6 +18,7 @@ from bigcross.io import (
     write_layout,
 )
 from bigcross.graph import LayoutParams
+from bigcross.metrics import measure
 
 
 def cli(*args, cwd=None):
@@ -179,6 +182,25 @@ class TestCliLayout:
                   "--out", str(tmp_path / "o.json"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("exc, shown", [
+        (MemoryError("Unable to allocate 149. GiB for an array with shape "
+                     "(100000, 100000, 2) and data type float64"), "Unable to allocate"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_allocation_failure_is_data_error(self, small_graph, tmp_path, monkeypatch,
+                                              capsys, exc, shown):
+        # Stands in for an input too large for memory; the real allocation is
+        # never attempted.
+        def fail(pos):
+            raise exc
+        monkeypatch.setattr(engine, "_distance_pass", fail)
+        code = cli_mod.main(["layout", "--in", str(small_graph), "--seed", "1",
+                             "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("bigcross: input too large: ") and shown in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCliMeasure:
     def test_square_fixture(self, tmp_path):
@@ -195,6 +217,27 @@ class TestCliMeasure:
         assert doc["crossings"] == 1
         assert doc["angle_mean"] == pytest.approx(90.0)
         assert len(doc["crossing_list"]) == 1
+
+    def test_crossing_list_scans_once(self, tmp_path, monkeypatch, capsys):
+        g = gen_erdos_renyi(40, 120, seed=1)
+        gpath, lpath = tmp_path / "g.txt", tmp_path / "l.json"
+        write_edge_list(g, gpath)
+        write_layout(lpath, engine.initial_placement(g.n, 3), seed=3, params=LayoutParams())
+        calls = []
+        real = crossings._crossing_arrays
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(crossings, "_crossing_arrays", counted)
+        monkeypatch.setattr(metrics, "_crossing_arrays", counted)
+        assert cli_mod.main(["measure", "--graph", str(gpath), "--layout", str(lpath),
+                             "--crossings"]) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["crossings"] == len(doc["crossing_list"]) >= 100
+        expected = measure(g, read_layout(lpath)[0]).to_dict()
+        assert {k: doc[k] for k in expected} == expected
 
     def test_crossing_free_zero_convention(self, tmp_path):
         g = make_graph(3, [(0, 1), (1, 2)])

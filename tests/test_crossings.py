@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from bigcross.crossings import crossing_angle, find_crossings, proper_intersection
+from bigcross.crossings import _acute_angles, find_crossings, proper_intersection
 from bigcross.engine import initial_placement
 from bigcross.graph import Layout, make_graph
 
@@ -70,27 +71,29 @@ class TestProperIntersection:
                     assert math.dist(base, other) < 1e-9
 
 
+def acute_angle(seg1, seg2) -> float:
+    """`_acute_angles` of one edge pair, given as two segments (a one-row quad)."""
+    pos = np.array([*seg1, *seg2], dtype=np.float64)
+    return float(_acute_angles(pos, np.array([[0, 1, 2, 3]]))[0])
+
+
 class TestCrossingAngle:
     def test_perpendicular_diagonals(self):
-        assert crossing_angle(((0, 0), (1, 1)), ((0, 1), (1, 0))) == pytest.approx(90.0)
+        assert acute_angle(((0, 0), (1, 1)), ((0, 1), (1, 0))) == pytest.approx(90.0)
 
     def test_arctan_two_slope(self):
         # Oracle: the second segment's direction is (1, 2); the acute angle to
         # the x-axis segment is atan2(2, 1) in degrees.
         expected = math.degrees(math.atan2(2.0, 1.0))
-        got = crossing_angle(((0, 0), (1, 0)), ((0.5, -1), (1.5, 1)))
+        got = acute_angle(((0, 0), (1, 0)), ((0.5, -1), (1.5, 1)))
         assert got == pytest.approx(expected, abs=1e-9)
         assert got == pytest.approx(63.43494882292201, abs=1e-9)
 
     def test_steep_crossing(self):
         expected = math.degrees(math.atan2(1.0, 0.1))
-        got = crossing_angle(((0, 0), (1, 0)), ((0.5, -0.5), (0.6, 0.5)))
+        got = acute_angle(((0, 0), (1, 0)), ((0.5, -0.5), (0.6, 0.5)))
         assert got == pytest.approx(expected, abs=1e-9)
         assert got == pytest.approx(84.28940686250037, abs=1e-9)
-
-    def test_zero_length_segment_raises(self):
-        with pytest.raises(ValueError, match="zero-length"):
-            crossing_angle(((0, 0), (0, 0)), ((0, 1), (1, 0)))
 
     def test_range_and_symmetries(self, rng):
         for _ in range(300):
@@ -100,21 +103,21 @@ class TestCrossingAngle:
                   (rng.uniform(-1, 1), rng.uniform(-1, 1)))
             if proper_intersection(s1, s2) is None:
                 continue
-            theta = crossing_angle(s1, s2)
+            theta = acute_angle(s1, s2)
             assert 0.0 < theta <= 90.0
-            assert crossing_angle(s2, s1) == pytest.approx(theta, abs=1e-9)
-            assert crossing_angle((s1[1], s1[0]), s2) == pytest.approx(theta, abs=1e-9)
+            assert acute_angle(s2, s1) == pytest.approx(theta, abs=1e-9)
+            assert acute_angle((s1[1], s1[0]), s2) == pytest.approx(theta, abs=1e-9)
 
     def test_rigid_motion_invariance(self, rng):
         for _ in range(200):
             pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
             if proper_intersection((pts[0], pts[1]), (pts[2], pts[3])) is None:
                 continue
-            theta = crossing_angle((pts[0], pts[1]), (pts[2], pts[3]))
+            theta = acute_angle((pts[0], pts[1]), (pts[2], pts[3]))
             ang = rng.uniform(0, 2 * math.pi)
             off = (rng.uniform(-5, 5), rng.uniform(-5, 5))
             moved = [rotate(p, ang, off) for p in pts]
-            theta2 = crossing_angle((moved[0], moved[1]), (moved[2], moved[3]))
+            theta2 = acute_angle((moved[0], moved[1]), (moved[2], moved[3]))
             assert theta2 == pytest.approx(theta, abs=1e-9)
 
 
@@ -181,5 +184,8 @@ class TestFindCrossings:
                 pt = proper_intersection(s1, s2)
                 assert pt is not None
                 assert math.dist(pt, c.point) < 1e-9
-                assert crossing_angle(s1, s2) == pytest.approx(c.theta, abs=1e-9)
+                (ux, uy), (vx, vy) = np.subtract(s1[1], s1[0]), np.subtract(s2[1], s2[0])
+                expected = math.degrees(math.atan2(abs(ux * vy - uy * vx),
+                                                   abs(ux * vx + uy * vy)))
+                assert c.theta == pytest.approx(expected, abs=1e-9)
                 assert 0.0 < c.theta <= 90.0

@@ -11,8 +11,6 @@ from bigcross.forces import (
     _rotational_arrays,
     attract_repel_components,
     attract_repel_cosine,
-    coincident,
-    cosine_magnitude,
     parallel_cosine,
     repulsive_force,
     rotational_cosine,
@@ -79,7 +77,6 @@ class TestSpringForce:
 
     def test_coincident_returns_zero(self):
         assert spring_force((1, 1), (1, 1), 1.0, 1.0) == (0.0, 0.0)
-        assert coincident((1, 1), (1, 1))
 
     def test_newton_pairs(self, rng):
         for _ in range(100):
@@ -113,15 +110,37 @@ class TestRepulsiveForce:
             assert abs(f1.fy + f2.fy) < 1e-12
 
 
+def kernel_magnitudes(pts, k_cos):
+    """Per-endpoint force magnitudes from the engine's three cosine kernels.
+
+    attract_repel contributes its attract and repel components separately,
+    each of which has the cosine-force magnitude.
+    """
+    pa, pb, pc, pd = (np.array([p], dtype=np.float64) for p in pts)
+    x = np.array([proper_intersection((pts[0], pts[1]), (pts[2], pts[3]))])
+    att, rep = _attract_repel_arrays(pa, pb, pc, pd, x, k_cos, split=True)
+    forces = (*_parallel_arrays(pa, pb, pc, pd, k_cos),
+              *_rotational_arrays(pa, pb, pc, pd, k_cos), *att, *rep)
+    return [math.hypot(*f[0]) for f in forces]
+
+
+def crossing_at(theta_deg):
+    """Two edges through the origin at the given angle."""
+    t = math.radians(theta_deg)
+    return [(-1.0, 0.0), (1.0, 0.0), (-math.cos(t), -math.sin(t)), (math.cos(t), math.sin(t))]
+
+
 class TestCosineMagnitude:
     def test_right_angle_exactly_zero(self):
-        assert cosine_magnitude(90.0, 1.0) == 0.0
+        assert kernel_magnitudes([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)],
+                                 1.0) == [0.0] * 16
 
     def test_sixty_degrees(self):
-        assert cosine_magnitude(60.0, 1.0) == pytest.approx(0.5)
+        assert kernel_magnitudes(crossing_at(60.0), 1.0) == pytest.approx([0.5] * 16)
 
     def test_forty_five_scaled(self):
-        assert cosine_magnitude(45.0, 2.0) == pytest.approx(math.sqrt(2), abs=1e-5)
+        assert kernel_magnitudes(crossing_at(45.0), 2.0) == pytest.approx(
+            [math.sqrt(2)] * 16, abs=1e-12)
 
 
 class TestParallelCosine:
@@ -237,6 +256,27 @@ class TestSharedVariantProperties:
             cf = fn(*pts, k)
             for f in (cf.on_a, cf.on_b, cf.on_c, cf.on_d):
                 assert math.hypot(*f) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["parallel", "rotational"])
+    def test_net_torque(self, name, rng):
+        # The per-crossing torque stated in the module docstring: nonzero
+        # unless the two crossing edges have equal length.
+        fn = VARIANTS[name]
+        k = 1.5
+        for _ in range(200):
+            a, b, c, d = pts = random_proper_crossing(rng)
+            cf = fn(*pts, k)
+            torque = sum(p[0] * f.fy - p[1] * f.fx
+                         for p, f in zip(pts, (cf.on_a, cf.on_b, cf.on_c, cf.on_d)))
+            l_ab, l_cd = math.dist(a, b), math.dist(c, d)
+            ux, uy = (b[0] - a[0]) / l_ab, (b[1] - a[1]) / l_ab
+            vx, vy = (d[0] - c[0]) / l_cd, (d[1] - c[1]) / l_cd
+            s, cross = ux * vx + uy * vy, ux * vy - uy * vx
+            if name == "parallel":
+                expected = k * s * cross * (l_cd - l_ab)
+            else:
+                expected = k * abs(s) * math.copysign(1.0, s * cross) * (l_cd - l_ab)
+            assert torque == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_right_angle_fixpoint_exact(self, name, rng):

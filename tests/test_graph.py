@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from bigcross.graph import Graph, GraphError, Layout, LayoutParams, distance, make_graph
+from bigcross.engine import _distance_pass
+from bigcross.graph import Graph, GraphError, Layout, LayoutParams, make_graph
 
 
 class TestMakeGraph:
@@ -50,21 +52,31 @@ class TestMakeGraph:
 
 
 class TestDistance:
+    """Pairwise distances as the layout engine computes them (`_distance_pass`)."""
+
     def test_three_four_five(self):
-        assert distance((0, 0), (3, 4)) == 5.0
+        diff, d2 = _distance_pass(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        assert d2[0, 1] == d2[1, 0] == 25.0
+        assert diff[1, 0].tolist() == [3.0, 4.0]
 
     def test_coincident(self):
-        assert distance((1, 1), (1, 1)) == 0.0
+        _, d2 = _distance_pass(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert d2[0, 1] == 0.0
+        # A vertex is never coincident with itself.
+        assert np.isinf(np.diag(d2)).all()
 
     def test_unit_axis(self):
-        assert distance((0, 0), (1, 0)) == 1.0
+        _, d2 = _distance_pass(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert d2[0, 1] == 1.0
 
     def test_symmetry_and_triangle_inequality(self, rng):
         for _ in range(200):
-            pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
-            a, b, c = pts
-            assert distance(a, b) == distance(b, a)
-            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
+            pts = np.array([(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)])
+            diff, d2 = _distance_pass(pts)
+            assert (diff == -diff.transpose(1, 0, 2)).all()
+            assert (d2 == d2.T).all()
+            d = np.sqrt(d2)
+            assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
 class TestLayout:

@@ -21,7 +21,12 @@ of outputs and the sha256 of their exact bytes (floats hashed as hex):
              record;
 - bench:     the `write_record` file of `run_pair` on every record (at most
              BENCH_ITERATIONS iterations a side, wall times set to 0.0), and
-             the `summarize` CSV over those records.
+             the `summarize` CSV over those records;
+- scale:     final positions and iterations of `engine.run` at sizes the
+             other groups do not reach: records SCALE_RECORDS (n=47, 49) for
+             SCALE_ITERATIONS iterations under every variant, and
+             LARGE_ITERATIONS iterations of classical and parallel on one
+             Watts-Strogatz graph with LARGE_N vertices.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ from bigcross.metrics import measure
 RECORDS = 24
 MAX_N = 30
 BENCH_ITERATIONS = 2000
+SCALE_RECORDS = (11, 21)
+SCALE_ITERATIONS = 2000
+LARGE_N = 1000
+LARGE_ITERATIONS = 4
 
 
 def _feed(h, value):
@@ -74,7 +83,8 @@ def _cli(argv) -> bytes:
 
 def main() -> int:
     groups = {name: hashlib.sha256()
-              for name in ("run", "measure", "crossings", "force", "step", "cli", "bench")}
+              for name in ("run", "measure", "crossings", "force", "step", "cli", "bench",
+                           "scale")}
     used = []
     records = []
     first = None
@@ -137,6 +147,19 @@ def main() -> int:
             _feed(groups["bench"], bench.summarize(records).to_csv_text())
         finally:
             os.chdir(cwd)
+
+    for i in SCALE_RECORDS:
+        spec, seed = bench.make_spec("erdos_renyi", 20260808, i)
+        graph = generators.generate(spec)
+        for variant in VARIANTS:
+            result = run(graph, LayoutParams(variant=variant, max_iterations=SCALE_ITERATIONS),
+                         seed)
+            _feed(groups["scale"], [i, variant, result.final.positions, result.iterations])
+    spec = generators.GenSpec("watts_strogatz", LARGE_N, 20260808, {"k": 4, "p": 0.1})
+    graph = generators.generate(spec)
+    for variant in ("classical", "parallel"):
+        result = run(graph, LayoutParams(variant=variant, max_iterations=LARGE_ITERATIONS), 1)
+        _feed(groups["scale"], [variant, result.final.positions, result.iterations])
 
     print(f"records {used}")
     total = hashlib.sha256()

@@ -21,7 +21,7 @@ from . import bench as bench_mod
 from . import generators, io as gio
 from .bench import BenchError
 from .crossings import find_crossings
-from .engine import run
+from .engine import EngineError, run
 from .generators import GenSpec
 from .graph import VARIANTS, GraphError, LayoutParams
 from .io import DataError
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
-    except (DataError, GraphError, BenchError) as exc:
+    except (DataError, GraphError, BenchError, EngineError) as exc:
         print(f"bigcross: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -76,43 +76,32 @@ def _crossing_arrays(graph: Graph, pos: np.ndarray):
     if pos.shape[0] != graph.n:
         raise ValueError(f"layout has {pos.shape[0]} positions for a graph with {graph.n} vertices")
     cand = graph.nonadjacent_edge_pairs
-    empty = np.empty(0, dtype=np.int64), np.empty((0, 4), dtype=np.int64)
-    if cand.shape[0] == 0:
-        return empty
-    ia, ib, ic, id_ = graph.pair_endpoint_ids
     pe1, pe2 = cand[:, 0], cand[:, 1]
     e = graph.edge_array
-    px = np.ascontiguousarray(pos[:, 0])
-    py = np.ascontiguousarray(pos[:, 1])
+    px, py = np.ascontiguousarray(pos.T)
 
     # Bounding-box prefilter. Overlapping closed boxes are a necessary
     # condition for a proper crossing and the test is comparison-only, so it
     # can never flip the exact orientation decision below.
-    ex0, ex1 = px[e[:, 0]], px[e[:, 1]]
-    ey0, ey1 = py[e[:, 0]], py[e[:, 1]]
-    lox, hix = np.minimum(ex0, ex1), np.maximum(ex0, ex1)
-    loy, hiy = np.minimum(ey0, ey1), np.maximum(ey0, ey1)
+    ex, ey = px.take(e.T), py.take(e.T)
+    lox, hix = np.minimum(ex[0], ex[1]), np.maximum(ex[0], ex[1])
+    loy, hiy = np.minimum(ey[0], ey[1]), np.maximum(ey[0], ey[1])
     boxed = (lox[pe1] <= hix[pe2]) & (lox[pe2] <= hix[pe1]) \
         & (loy[pe1] <= hiy[pe2]) & (loy[pe2] <= hiy[pe1])
-    if not boxed.any():
-        return empty
-    sub = np.nonzero(boxed)[0]
-    ia, ib, ic, id_ = ia[sub], ib[sub], ic[sub], id_[sub]
+    sub = boxed.nonzero()[0]
+    q = graph.pair_endpoint_ids.take(sub, axis=1)
 
-    x1, y1 = px[ia], py[ia]
-    x2, y2 = px[ib], py[ib]
-    x3, y3 = px[ic], py[ic]
-    x4, y4 = px[id_], py[id_]
-    rx, ry = x2 - x1, y2 - y1
-    sx, sy = x4 - x3, y4 - y3
-    o1 = rx * (y3 - y1) - ry * (x3 - x1)
-    o2 = rx * (y4 - y1) - ry * (x4 - x1)
-    o3 = sx * (y1 - y3) - sy * (x1 - x3)
-    o4 = sx * (y2 - y3) - sy * (x2 - x3)
-    mask = (((o1 > 0) & (o2 < 0)) | ((o1 < 0) & (o2 > 0))) \
-        & (((o3 > 0) & (o4 < 0)) | ((o3 < 0) & (o4 > 0)))
-    idx = np.nonzero(mask)[0]
-    return sub[idx], np.stack([ia[idx], ib[idx], ic[idx], id_[idx]], axis=1)
+    # Rows of X and Y are the coordinates of a, b, c, d. o12 holds the
+    # orientations of c and d against edge (a, b), o34 those of a and b
+    # against edge (c, d), by the expressions of `_orient`. Two values lie
+    # strictly on opposite sides when they differ both in "> 0" and in "< 0".
+    X, Y = px.take(q), py.take(q)
+    o12 = (X[1] - X[0]) * (Y[2:] - Y[0]) - (Y[1] - Y[0]) * (X[2:] - X[0])
+    o34 = (X[3] - X[2]) * (Y[:2] - Y[2]) - (Y[3] - Y[2]) * (X[:2] - X[2])
+    pos12, neg12, pos34, neg34 = o12 > 0, o12 < 0, o34 > 0, o34 < 0
+    idx = ((pos12[0] != pos12[1]) & (neg12[0] != neg12[1])
+           & (pos34[0] != pos34[1]) & (neg34[0] != neg34[1])).nonzero()[0]
+    return sub[idx], q.take(idx, axis=1).T
 
 
 def _intersection_points(pos: np.ndarray, quads: np.ndarray) -> np.ndarray:

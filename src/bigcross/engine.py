@@ -10,7 +10,20 @@ iteration cap is reached.
 
 There is no cooling schedule: the stopping rule is a stationarity test and
 a temperature ramp would mask it. Crossings are recomputed from scratch
-every iteration (naive pairwise scan).
+every iteration over the graph's candidate table, every pair of edges that
+share no endpoint (`Graph.nonadjacent_edge_pairs`, with the endpoint ids in
+`Graph.pair_endpoint_ids`). A bounding-box test drops the pairs whose boxes
+are disjoint, and the exact sign-of-orientation test decides the rest.
+
+The summation order is fixed, so a run is bit-reproducible:
+
+- repulsion on vertex i sums its terms over j = 0..n-1 in turn, down the
+  rows of the C-contiguous (n, n) difference planes (a reduction along the
+  contiguous axis would sum pairwise and in another order);
+- spring forces, then cosine forces, are each scattered with one
+  `bincount` over the 2n bins 2*v + axis, in edge order and in crossing
+  order (all a endpoints, then b, c, d);
+- the total is (springs + repulsion) + cosine.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from .forces import (
     _parallel_arrays,
     _rotational_arrays,
 )
-from .graph import Graph, Layout, LayoutParams
+from .graph import Graph, Layout, LayoutParams, _scatter_bins
 
 
 class EngineError(RuntimeError):
@@ -62,25 +75,31 @@ def _jitter_angle(u: int, v: int) -> float:
 
 
 def _distance_pass(pos: np.ndarray):
-    """Pairwise differences (n, n, 2) and squared distances (n, n), inf on the diagonal."""
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
+    """Pairwise difference planes (2, n, n) and squared distances (n, n).
+
+    Plane c holds dxy[c][j, i] = pos[i, c] - pos[j, c], C-contiguous, so the
+    sum over j runs down whole rows. d2 = dx*dx + dy*dy, inf on the diagonal.
+    """
+    t = np.ascontiguousarray(pos.T)
+    dxy = t[:, None, :] - t[:, :, None]
+    sq = dxy * dxy
+    d2 = sq[0] + sq[1]
     np.fill_diagonal(d2, np.inf)
-    return diff, d2
+    return dxy, d2
 
 
-def _resolve_coincidences(pos: np.ndarray, diff: np.ndarray, d2: np.ndarray):
+def _resolve_coincidences(pos: np.ndarray, dxy: np.ndarray, d2: np.ndarray):
     """Separate coincident vertex pairs by a deterministic 1e-6 displacement.
 
-    diff and d2 are the `_distance_pass` arrays of pos. For each pair closer
+    dxy and d2 are the `_distance_pass` arrays of pos. For each pair closer
     than COINCIDENCE_EPS the higher-indexed vertex of a copy of pos is nudged
     along a direction hashed from the id pair, breaking the symmetry
     reproducibly instead of feeding the 1/d^2 term an infinity. Returns
-    (pos, diff, d2): the inputs unchanged when no pair is coincident, else
+    (pos, dxy, d2): the inputs unchanged when no pair is coincident, else
     the jittered copy and its own `_distance_pass`.
     """
     if d2.min() >= COINCIDENCE_EPS * COINCIDENCE_EPS:
-        return pos, diff, d2
+        return pos, dxy, d2
     pos = pos.copy()
     iu, ju = np.triu_indices(pos.shape[0], k=1)
     hit = d2[iu, ju] < COINCIDENCE_EPS * COINCIDENCE_EPS
@@ -91,8 +110,11 @@ def _resolve_coincidences(pos: np.ndarray, diff: np.ndarray, d2: np.ndarray):
     return (pos, *_distance_pass(pos))
 
 
-def _repulsion(diff: np.ndarray, d2: np.ndarray, k_r: float) -> np.ndarray:
-    """(n, 2) inverse-square repulsion from `_distance_pass` arrays, which it overwrites."""
+def _repulsion(dxy: np.ndarray, d2: np.ndarray, k_r: float) -> np.ndarray:
+    """(n, 2) inverse-square repulsion from `_distance_pass` arrays, which it overwrites.
+
+    Vertex i's term sums dxy[c][j, i] / d^3 over j in ascending order.
+    """
     # Coincident pairs contribute nothing; the jitter pass owns them.
     d2[d2 < COINCIDENCE_EPS * COINCIDENCE_EPS] = np.inf
     d3 = np.sqrt(d2)
@@ -100,8 +122,8 @@ def _repulsion(diff: np.ndarray, d2: np.ndarray, k_r: float) -> np.ndarray:
     # Extreme constants may overflow to inf here; the step aborts on any
     # non-finite force, so suppress the warning rather than the signal.
     with np.errstate(over="ignore"):
-        diff /= d3[:, :, None]
-        return k_r * diff.sum(axis=1)
+        dxy /= d3
+        return k_r * dxy.sum(axis=1).T
 
 
 def _cosine_active(params: LayoutParams) -> bool:
@@ -114,44 +136,37 @@ def _force_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams,
 
     repulsion is the (n, 2) term of `_repulsion`. quads holds the (K, 4)
     endpoint vertex ids of the current crossings, or None when the cosine
-    force is inactive. Summation order is fixed (springs, repulsion, cosine),
-    so results are reproducible.
+    force is inactive. Summation order is fixed, (springs + repulsion) +
+    cosine, and each group scatters with one `bincount` over bins 2*v + axis
+    in a fixed order, so results are reproducible.
     """
     n = graph.n
-    F = np.zeros((n, 2), dtype=np.float64)
-
     e = graph.edge_array
     if e.shape[0]:
-        pu = pos[e[:, 0]]
-        pv = pos[e[:, 1]]
-        delta = pu - pv
+        ends = pos.take(e, axis=0)
+        delta = ends[:, 0] - ends[:, 1]
         d = np.sqrt((delta * delta).sum(axis=1))
         ok = d >= COINCIDENCE_EPS
         mag = np.where(ok, params.k_s * (d - params.l), 0.0)
         fv = (mag / np.where(ok, d, 1.0))[:, None] * delta
-        idx = np.concatenate([e[:, 1], e[:, 0]])
-        F[:, 0] += np.bincount(idx, np.concatenate([fv[:, 0], -fv[:, 0]]), minlength=n)
-        F[:, 1] += np.bincount(idx, np.concatenate([fv[:, 1], -fv[:, 1]]), minlength=n)
+        w = np.concatenate([fv, -fv]).ravel()
+        F = np.bincount(graph.edge_scatter_ids, w, minlength=2 * n).reshape(n, 2)
+    else:
+        F = np.zeros((n, 2), dtype=np.float64)
 
     F += repulsion
 
     if quads is not None and quads.shape[0]:
-        pa = pos[quads[:, 0]]
-        pb = pos[quads[:, 1]]
-        pc = pos[quads[:, 2]]
-        pd = pos[quads[:, 3]]
+        pa, pb, pc, pd = pos.take(quads.T, axis=0)
         if params.variant == "parallel":
-            fa, fb, fc, fd = _parallel_arrays(pa, pb, pc, pd, params.k_cos)
+            forces = _parallel_arrays(pa, pb, pc, pd, params.k_cos)
         elif params.variant == "rotational":
-            fa, fb, fc, fd = _rotational_arrays(pa, pb, pc, pd, params.k_cos)
+            forces = _rotational_arrays(pa, pb, pc, pd, params.k_cos)
         else:
             points = _intersection_points(pos, quads)
-            fa, fb, fc, fd = _attract_repel_arrays(pa, pb, pc, pd, points, params.k_cos)
-        idx = np.concatenate([quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]])
-        wx = np.concatenate([fa[:, 0], fb[:, 0], fc[:, 0], fd[:, 0]])
-        wy = np.concatenate([fa[:, 1], fb[:, 1], fc[:, 1], fd[:, 1]])
-        F[:, 0] += np.bincount(idx, wx, minlength=n)
-        F[:, 1] += np.bincount(idx, wy, minlength=n)
+            forces = _attract_repel_arrays(pa, pb, pc, pd, points, params.k_cos)
+        ids = _scatter_bins(quads.T.ravel())
+        F += np.bincount(ids, np.concatenate(forces).ravel(), minlength=2 * n).reshape(n, 2)
 
     return F
 
@@ -177,13 +192,13 @@ def total_force(graph: Graph, layout: Layout, params: LayoutParams,
 def _step_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams):
     """One iteration on raw position arrays; returns (new_pos, (max_dx, max_dy))."""
     pos_in = pos
-    pos, diff, d2 = _resolve_coincidences(pos, *_distance_pass(pos))
-    repulsion = _repulsion(diff, d2, params.k_r)
+    pos, dxy, d2 = _resolve_coincidences(pos, *_distance_pass(pos))
+    repulsion = _repulsion(dxy, d2, params.k_r)
     # Free the n x n arrays before the crossing scan allocates its own.
-    del diff, d2
+    del dxy, d2
     quads = _crossing_arrays(graph, pos)[1] if _cosine_active(params) else None
     F = _force_arrays(graph, pos, params, repulsion, quads)
-    if not np.all(np.isfinite(F)):
+    if not np.isfinite(F).all():
         bad = np.nonzero(~np.isfinite(F).all(axis=1))[0]
         raise EngineError(f"non-finite force on vertices {bad.tolist()[:5]}")
     disp = params.step * F

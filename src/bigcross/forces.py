@@ -92,6 +92,18 @@ def _unit(dx: np.ndarray, dy: np.ndarray):
     return np.where(ok, dx / safe, 0.0), np.where(ok, dy / safe, 0.0), ok
 
 
+def _edge_directions(pa, pb, pc, pd):
+    """Unit directions of edges (a, b) and (c, d) by `_unit`, and their dot product.
+
+    Both edges go through one `_unit` call. Returns (ux, uy, dot): ux and uy
+    are (2, K), row 0 for (a, b) and row 1 for (c, d); dot is u . v, 0 where
+    either direction is undefined.
+    """
+    D = np.array([pb - pa, pd - pc])
+    ux, uy, ok = _unit(D[..., 0], D[..., 1])
+    return ux, uy, np.where(ok[0] & ok[1], ux[0] * ux[1] + uy[0] * uy[1], 0.0)
+
+
 def _parallel_arrays(pa, pb, pc, pd, k_cos):
     """Vectorized parallel cosine forces; each argument is a (K, 2) array.
 
@@ -104,12 +116,13 @@ def _parallel_arrays(pa, pb, pc, pd, k_cos):
     Moving a by eps*on_a changes (b - a) . v by -eps*k_cos*s, shrinking
     |cos theta| to first order; the same holds at every endpoint.
     """
-    uhx, uhy, oku = _unit(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    vhx, vhy, okv = _unit(pd[:, 0] - pc[:, 0], pd[:, 1] - pc[:, 1])
-    s = np.where(oku & okv, uhx * vhx + uhy * vhy, 0.0)
+    ux, uy, s = _edge_directions(pa, pb, pc, pd)
     ks = k_cos * s
-    fa = np.stack([ks * vhx, ks * vhy], axis=1)
-    fc = np.stack([ks * uhx, ks * uhy], axis=1)
+    # fa = ks * v and fc = ks * u, written as (K, 2) rows of one array.
+    f = np.empty((2, ks.size, 2))
+    np.multiply(ks, ux[::-1], out=f[..., 0])
+    np.multiply(ks, uy[::-1], out=f[..., 1])
+    fa, fc = f
     return fa, -fa, fc, -fc
 
 
@@ -122,10 +135,7 @@ def _rotational_arrays(pa, pb, pc, pd, k_cos):
     perpendicular configurations give zero. on_b = -on_a, and c, d get the
     symmetric construction perpendicular to (c, d).
     """
-    uhx, uhy, oku = _unit(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    vhx, vhy, okv = _unit(pd[:, 0] - pc[:, 0], pd[:, 1] - pc[:, 1])
-    ok = oku & okv
-    dot = np.where(ok, uhx * vhx + uhy * vhy, 0.0)
+    (uhx, vhx), (uhy, vhy), dot = _edge_directions(pa, pb, pc, pd)
     cosang = np.abs(dot)
     wx, wy = -uhy, uhx
     cross_uv = wx * vhx + wy * vhy
@@ -165,10 +175,7 @@ def _attract_repel_arrays(pa, pb, pc, pd, points, k_cos, split: bool = False):
     Returns net per-endpoint forces (fa, fb, fc, fd); with split=True returns
     ((attract...), (repel...)) component tuples instead.
     """
-    uhx, uhy, oku = _unit(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    vhx, vhy, okv = _unit(pd[:, 0] - pc[:, 0], pd[:, 1] - pc[:, 1])
-    ok = oku & okv
-    cosang = np.abs(np.where(ok, uhx * vhx + uhy * vhy, 0.0))
+    cosang = np.abs(_edge_directions(pa, pb, pc, pd)[2])
     base = k_cos * cosang
     aa, ar = _attract_repel_endpoint(pa, pc, pd, points, base)
     ba, br = _attract_repel_endpoint(pb, pc, pd, points, base)

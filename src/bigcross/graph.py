@@ -84,11 +84,24 @@ class Graph:
         return arr
 
     @cached_property
+    def edge_scatter_ids(self) -> np.ndarray:
+        """`_scatter_bins` of every edge's second endpoint, then of every first one.
+
+        Shape (4m,). Per-edge (m, 2) forces stacked as [on_second, on_first]
+        and flattened line up with it, so one `bincount` scatters them.
+        """
+        e = self.edge_array
+        ids = _scatter_bins(np.concatenate([e[:, 1], e[:, 0]]))
+        ids.flags.writeable = False
+        return ids
+
+    @cached_property
     def nonadjacent_edge_pairs(self) -> np.ndarray:
         """All edge-id pairs (i < j) whose edges share no endpoint, shape (P, 2).
 
         Precomputed once per graph; this is the candidate set scanned for
-        crossings at every iteration.
+        crossings at every iteration. Stored column by column (Fortran
+        order), so each column is contiguous for the scan's gathers.
         """
         m = self.m
         if m < 2:
@@ -98,26 +111,37 @@ class Graph:
         a, b = e[i, 0], e[i, 1]
         c, d = e[j, 0], e[j, 1]
         disjoint = (a != c) & (a != d) & (b != c) & (b != d)
-        pairs = np.stack([i[disjoint], j[disjoint]], axis=1)
-        pairs.flags.writeable = False
-        return pairs
+        cols = np.stack([i[disjoint], j[disjoint]])
+        cols.flags.writeable = False
+        return cols.T
 
     @cached_property
-    def pair_endpoint_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Endpoint vertex ids (a, b, c, d) of every non-adjacent edge pair.
+    def pair_endpoint_ids(self) -> np.ndarray:
+        """Endpoint vertex ids of every non-adjacent edge pair, shape (4, P).
 
-        Four contiguous (P,) int64 arrays aligned with nonadjacent_edge_pairs,
-        laid out for the per-iteration crossing scan.
+        One C-contiguous int64 table aligned with nonadjacent_edge_pairs:
+        column p holds (a, b, c, d), the endpoints of the pair's first edge
+        (a, b) and second edge (c, d), so each row is contiguous for the
+        per-iteration crossing scan.
         """
-        pairs = self.nonadjacent_edge_pairs
-        e = self.edge_array
-        ea = e[pairs[:, 0]]
-        eb = e[pairs[:, 1]]
-        out = (np.ascontiguousarray(ea[:, 0]), np.ascontiguousarray(ea[:, 1]),
-               np.ascontiguousarray(eb[:, 0]), np.ascontiguousarray(eb[:, 1]))
-        for arr in out:
-            arr.flags.writeable = False
-        return out
+        a, b = self.edge_array.T
+        first, second = self.nonadjacent_edge_pairs.T
+        ids = np.stack([a[first], b[first], a[second], b[second]])
+        ids.flags.writeable = False
+        return ids
+
+
+def _scatter_bins(v: np.ndarray) -> np.ndarray:
+    """Force-scatter bins 2*v + axis of the vertex ids v, x and y interleaved.
+
+    Row-major (k, 2) forces on vertices v, flattened, line up with the
+    result, so `bincount(_scatter_bins(v), forces.ravel(), minlength=2 * n)`
+    reshaped to (n, 2) sums them per vertex, in the order of v.
+    """
+    bins = np.empty(2 * v.size, dtype=np.int64)
+    np.multiply(v, 2, out=bins[0::2])
+    np.add(bins[0::2], 1, out=bins[1::2])
+    return bins
 
 
 def make_graph(n: int, edges) -> Graph:

@@ -184,7 +184,7 @@ class TestCliLayout:
 
     @pytest.mark.parametrize("exc, shown", [
         (MemoryError("Unable to allocate 149. GiB for an array with shape "
-                     "(100000, 100000, 2) and data type float64"), "Unable to allocate"),
+                     "(2, 100000, 100000) and data type float64"), "Unable to allocate"),
         (MemoryError(), "out of memory"),
     ], ids=["numpy-message", "bare"])
     def test_allocation_failure_is_data_error(self, small_graph, tmp_path, monkeypatch,
@@ -200,6 +200,19 @@ class TestCliLayout:
         assert code == 2
         assert err.startswith("bigcross: input too large: ") and shown in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+    def test_non_finite_force_is_data_error(self, small_graph, tmp_path, monkeypatch, capsys):
+        def fail(graph, pos, params):
+            raise engine.EngineError("non-finite force on vertices [0]")
+        monkeypatch.setattr(engine, "_step_arrays", fail)
+        out = tmp_path / "o.json"
+        code = cli_mod.main(["layout", "--in", str(small_graph), "--seed", "1",
+                             "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "bigcross: non-finite force on vertices [0]\n"
+        assert not out.exists()
 
 
 class TestCliMeasure:

@@ -2,15 +2,18 @@ import math
 import numpy as np
 import pytest
 
-from bigcross.crossings import find_crossings
+from bigcross import forces
+from bigcross.crossings import _intersection_points, find_crossings
 from bigcross.engine import (
     EngineError,
+    _jitter_angle,
+    _step_arrays,
     initial_placement,
     run,
     step,
     total_force,
 )
-from bigcross.forces import repulsive_force, spring_force
+from bigcross.forces import COINCIDENCE_EPS, repulsive_force, spring_force
 from bigcross.forces import parallel_cosine, rotational_cosine, attract_repel_cosine
 from bigcross.generators import classic, gen_erdos_renyi
 from bigcross.graph import Layout, LayoutParams, make_graph
@@ -44,6 +47,119 @@ def scalar_total_force(graph, layout, params):
                 F[vid][0] += f.fx
                 F[vid][1] += f.fy
     return np.array(F)
+
+
+def _reference_distance_pass(pos):
+    diff = pos[:, None, :] - pos[None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return diff, d2
+
+
+def _reference_quads(graph, pos):
+    """Endpoint ids (K, 4) of the crossing pairs, by `_orient` over every candidate."""
+    quads = graph.edge_array[graph.nonadjacent_edge_pairs].reshape(-1, 4)
+    p1, p2, p3, p4 = (pos[quads[:, k]] for k in range(4))
+
+    def orient(a, b, c):
+        return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
+    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
+    cross = (((o1 > 0) & (o2 < 0)) | ((o1 < 0) & (o2 > 0))) \
+        & (((o3 > 0) & (o4 < 0)) | ((o3 < 0) & (o4 > 0)))
+    return quads[cross]
+
+
+def reference_step(graph, pos, params):
+    """One iteration the way the engine used to compute it, for bit comparison.
+
+    Pairwise differences as one (n, n, 2) array summed along axis 1, and
+    every force group scattered per axis with its own `bincount`.
+    """
+    n = graph.n
+    eps2 = COINCIDENCE_EPS * COINCIDENCE_EPS
+    pos_in = pos
+    diff, d2 = _reference_distance_pass(pos)
+    if d2.min() < eps2:
+        pos = pos.copy()
+        iu, ju = np.triu_indices(n, k=1)
+        hit = d2[iu, ju] < eps2
+        for u, v in zip(iu[hit], ju[hit]):
+            ang = _jitter_angle(int(u), int(v))
+            pos[v, 0] += 1e-6 * math.cos(ang)
+            pos[v, 1] += 1e-6 * math.sin(ang)
+        diff, d2 = _reference_distance_pass(pos)
+    d2[d2 < eps2] = np.inf
+    d3 = np.sqrt(d2) * d2
+    repulsion = params.k_r * (diff / d3[:, :, None]).sum(axis=1)
+
+    F = np.zeros((n, 2))
+    e = graph.edge_array
+    if e.shape[0]:
+        delta = pos[e[:, 0]] - pos[e[:, 1]]
+        d = np.sqrt((delta * delta).sum(axis=1))
+        ok = d >= COINCIDENCE_EPS
+        fv = (np.where(ok, params.k_s * (d - params.l), 0.0) / np.where(ok, d, 1.0))[:, None] * delta
+        idx = np.concatenate([e[:, 1], e[:, 0]])
+        for c in range(2):
+            F[:, c] += np.bincount(idx, np.concatenate([fv[:, c], -fv[:, c]]), minlength=n)
+    F += repulsion
+    if params.variant != "classical" and params.k_cos:
+        quads = _reference_quads(graph, pos)
+        if quads.shape[0]:
+            ends = [pos[quads[:, k]] for k in range(4)]
+            if params.variant == "attract_repel":
+                fs = forces._attract_repel_arrays(*ends, _intersection_points(pos, quads),
+                                                  params.k_cos)
+            else:
+                kernel = getattr(forces, f"_{params.variant}_arrays")
+                fs = kernel(*ends, params.k_cos)
+            idx = quads.T.ravel()
+            for c in range(2):
+                F[:, c] += np.bincount(idx, np.concatenate([f[:, c] for f in fs]), minlength=n)
+
+    disp = params.step * F
+    mags = np.sqrt((disp * disp).sum(axis=1))
+    over = mags > params.max_disp
+    if over.any():
+        disp = disp * np.where(over, params.max_disp / np.where(over, mags, 1.0), 1.0)[:, None]
+    new_pos = pos + disp
+    moved = np.abs(new_pos - pos_in).max(axis=0)
+    return new_pos, (float(moved[0]), float(moved[1]))
+
+
+def random_graph(n, seed):
+    """A graph with min(2n, n(n-1)/2) edges drawn uniformly, not necessarily connected."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pick = np.random.default_rng(seed).choice(len(pairs), min(2 * n, len(pairs)), replace=False)
+    return make_graph(n, [pairs[i] for i in pick])
+
+
+class TestStepBits:
+    """`_step_arrays` reproduces `reference_step` bit for bit."""
+
+    @staticmethod
+    def assert_same_steps(graph, pos, params, steps):
+        for _ in range(steps):
+            new, moved = _step_arrays(graph, pos, params)
+            ref, ref_moved = reference_step(graph, pos, params)
+            assert new.tobytes() == ref.tobytes()
+            assert moved == ref_moved
+            pos = new
+
+    @pytest.mark.parametrize("variant", ["classical", "parallel", "rotational", "attract_repel"])
+    @pytest.mark.parametrize("n", [2, 9, 14, 47, 200])
+    def test_random_start(self, n, variant):
+        graph = random_graph(n, seed=n)
+        pos = initial_placement(n, seed=n + 1).positions
+        self.assert_same_steps(graph, pos, LayoutParams(variant=variant), 5 if n == 200 else 30)
+
+    @pytest.mark.parametrize("variant", ["classical", "parallel", "rotational", "attract_repel"])
+    def test_coincident_start(self, variant):
+        graph = random_graph(14, seed=3)
+        pos = initial_placement(14, seed=4).positions.copy()
+        pos[5] = pos[2]
+        self.assert_same_steps(graph, pos, LayoutParams(variant=variant), 30)
 
 
 class TestInitialPlacement:

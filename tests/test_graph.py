@@ -52,12 +52,15 @@ class TestMakeGraph:
 
 
 class TestDistance:
-    """Pairwise distances as the layout engine computes them (`_distance_pass`)."""
+    """Pairwise distances as the layout engine computes them (`_distance_pass`).
+
+    The differences come as two (n, n) planes, dxy[c][j, i] = pos[i, c] - pos[j, c].
+    """
 
     def test_three_four_five(self):
-        diff, d2 = _distance_pass(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        dxy, d2 = _distance_pass(np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert d2[0, 1] == d2[1, 0] == 25.0
-        assert diff[1, 0].tolist() == [3.0, 4.0]
+        assert dxy[:, 0, 1].tolist() == [3.0, 4.0]
 
     def test_coincident(self):
         _, d2 = _distance_pass(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -72,8 +75,9 @@ class TestDistance:
     def test_symmetry_and_triangle_inequality(self, rng):
         for _ in range(200):
             pts = np.array([(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)])
-            diff, d2 = _distance_pass(pts)
-            assert (diff == -diff.transpose(1, 0, 2)).all()
+            dxy, d2 = _distance_pass(pts)
+            assert dxy.shape == (2, 3, 3) and dxy.flags.c_contiguous
+            assert (dxy == -dxy.transpose(0, 2, 1)).all()
             assert (d2 == d2.T).all()
             d = np.sqrt(d2)
             assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12

@@ -26,7 +26,12 @@ of outputs and the sha256 of their exact bytes (floats hashed as hex):
              other groups do not reach: records SCALE_RECORDS (n=47, 49) for
              SCALE_ITERATIONS iterations under every variant, and
              LARGE_ITERATIONS iterations of classical and parallel on one
-             Watts-Strogatz graph with LARGE_N vertices.
+             Watts-Strogatz graph with LARGE_N vertices;
+- scalar:    `proper_intersection`, `parallel_cosine`, `rotational_cosine`,
+             `attract_repel_cosine` and `attract_repel_components` on
+             SCALAR_CONFIGS seeded random float configurations in [-2, 2]^2
+             and as many with integer coordinates in [-3, 3], which are
+             often collinear, touching or sharing a point.
 """
 
 from __future__ import annotations
@@ -35,14 +40,21 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import tempfile
 from dataclasses import replace
 
 import numpy as np
 
 from bigcross import bench, cli, generators, io as gio
-from bigcross.crossings import find_crossings
+from bigcross.crossings import find_crossings, proper_intersection
 from bigcross.engine import initial_placement, run, step, total_force
+from bigcross.forces import (
+    attract_repel_components,
+    attract_repel_cosine,
+    parallel_cosine,
+    rotational_cosine,
+)
 from bigcross.graph import VARIANTS, Layout, LayoutParams, make_graph
 from bigcross.metrics import measure
 
@@ -53,6 +65,7 @@ SCALE_RECORDS = (11, 21)
 SCALE_ITERATIONS = 2000
 LARGE_N = 1000
 LARGE_ITERATIONS = 4
+SCALAR_CONFIGS = 3000
 
 
 def _feed(h, value):
@@ -84,7 +97,7 @@ def _cli(argv) -> bytes:
 def main() -> int:
     groups = {name: hashlib.sha256()
               for name in ("run", "measure", "crossings", "force", "step", "cli", "bench",
-                           "scale")}
+                           "scale", "scalar")}
     used = []
     records = []
     first = None
@@ -160,6 +173,19 @@ def main() -> int:
     for variant in ("classical", "parallel"):
         result = run(graph, LayoutParams(variant=variant, max_iterations=LARGE_ITERATIONS), 1)
         _feed(groups["scale"], [variant, result.final.positions, result.iterations])
+
+    rng = random.Random(20260808)
+    configs = [[(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)]
+               for _ in range(SCALAR_CONFIGS)]
+    configs += [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+                for _ in range(SCALAR_CONFIGS)]
+    for a, b, c, d in configs:
+        _feed(groups["scalar"], proper_intersection((a, b), (c, d)))
+        for fn in (parallel_cosine, rotational_cosine, attract_repel_cosine):
+            cf = fn(a, b, c, d, 1.5)
+            _feed(groups["scalar"], [cf.on_a, cf.on_b, cf.on_c, cf.on_d])
+        for cf in attract_repel_components(a, b, c, d, 1.5):
+            _feed(groups["scalar"], [cf.on_a, cf.on_b, cf.on_c, cf.on_d])
 
     print(f"records {used}")
     total = hashlib.sha256()

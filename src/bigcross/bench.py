@@ -220,6 +220,9 @@ def run_benchmark(models, count: int, master_seed: int,
     models = list(models)
     if not models:
         raise BenchError("need at least one model")
+    if "watts_strogatz" in models and n_range[0] < 5:
+        # make_spec fixes the ring degree at k=4, and the ring needs k < n.
+        raise BenchError(f"watts_strogatz needs n >= 5, got n_range={tuple(n_range)}")
     records = []
     for i in range(count):
         spec, layout_seed = make_spec(models[i % len(models)], master_seed, i, n_range)

@@ -13,7 +13,7 @@ a temperature ramp would mask it. Crossings are recomputed from scratch
 every iteration over the graph's candidate table, every pair of edges that
 share no endpoint (`Graph.nonadjacent_edge_pairs`, with the endpoint ids in
 `Graph.pair_endpoint_ids`). A bounding-box test drops the pairs whose boxes
-are disjoint, and the exact sign-of-orientation test decides the rest.
+are disjoint, and the float64 orientation-sign predicate decides the rest.
 
 The summation order is fixed, so a run is bit-reproducible:
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossings import Crossing, _crossing_arrays, _intersection_points
+from .crossings import Crossing, _crossing_arrays
 from .forces import (
     COINCIDENCE_EPS,
     _attract_repel_arrays,
@@ -157,14 +157,10 @@ def _force_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams,
     F += repulsion
 
     if quads is not None and quads.shape[0]:
-        pa, pb, pc, pd = pos.take(quads.T, axis=0)
-        if params.variant == "parallel":
-            forces = _parallel_arrays(pa, pb, pc, pd, params.k_cos)
-        elif params.variant == "rotational":
-            forces = _rotational_arrays(pa, pb, pc, pd, params.k_cos)
-        else:
-            points = _intersection_points(pos, quads)
-            forces = _attract_repel_arrays(pa, pb, pc, pd, points, params.k_cos)
+        kernel = (_parallel_arrays if params.variant == "parallel"
+                  else _rotational_arrays if params.variant == "rotational"
+                  else _attract_repel_arrays)
+        forces = kernel(*pos.take(quads.T, axis=0), params.k_cos)
         ids = _scatter_bins(quads.T.ravel())
         F += np.bincount(ids, np.concatenate(forces).ravel(), minlength=2 * n).reshape(n, 2)
 

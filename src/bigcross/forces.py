@@ -22,8 +22,9 @@ v = (d-c)/L_cd, s = u . v and u x v the 2D cross product, it is
 
 so only a crossing of two equal-length edges leaves the drawing unspun.
 
-Scalar kernels share one vectorized implementation with the layout engine,
-so per-crossing results are identical whichever path computes them.
+The scalar functions call the engine's kernels, `_<scheme>_arrays(pa, pb,
+pc, pd, k_cos)`, with one-row (1, 2) endpoint arrays, so per-crossing
+results are identical whichever path computes them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crossings import proper_intersection
+from .crossings import _intersection_points, proper_intersection
 
 # Below this separation a vertex pair counts as coincident: distance-based
 # kernels return zero and the engine resolves the pair by deterministic jitter.
@@ -169,12 +170,13 @@ def _attract_repel_endpoint(pe, po1, po2, x, base):
     return att, rep
 
 
-def _attract_repel_arrays(pa, pb, pc, pd, points, k_cos, split: bool = False):
-    """Vectorized attract/repel cosine forces, given intersection points.
+def _attract_repel_arrays(pa, pb, pc, pd, k_cos, split: bool = False):
+    """Vectorized attract/repel cosine forces on properly crossing edge pairs.
 
     Returns net per-endpoint forces (fa, fb, fc, fd); with split=True returns
     ((attract...), (repel...)) component tuples instead.
     """
+    points = _intersection_points(pa, pb, pc, pd)
     cosang = np.abs(_edge_directions(pa, pb, pc, pd)[2])
     base = k_cos * cosang
     aa, ar = _attract_repel_endpoint(pa, pc, pd, points, base)
@@ -209,23 +211,15 @@ def rotational_cosine(p_a, p_b, p_c, p_d, k_cos: float) -> CrossingForces:
     return _pack(*_rotational_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos))
 
 
-def _attract_repel_point(p_a, p_b, p_c, p_d):
-    x = proper_intersection((p_a, p_b), (p_c, p_d))
-    if x is None:
-        return None
-    return np.array([[x[0], x[1]]], dtype=np.float64)
-
-
 def attract_repel_cosine(p_a, p_b, p_c, p_d, k_cos: float) -> CrossingForces:
     """Net attract + repel cosine forces per endpoint for a crossing edge pair.
 
     The segments must properly cross; degenerate input yields zero forces.
     """
-    x = _attract_repel_point(p_a, p_b, p_c, p_d)
-    if x is None:
+    if proper_intersection((p_a, p_b), (p_c, p_d)) is None:
         z = ForceVector(0.0, 0.0)
         return CrossingForces(z, z, z, z)
-    return _pack(*_attract_repel_arrays(*_rows(p_a, p_b, p_c, p_d), x, k_cos))
+    return _pack(*_attract_repel_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos))
 
 
 def attract_repel_components(p_a, p_b, p_c, p_d, k_cos: float):
@@ -234,10 +228,9 @@ def attract_repel_components(p_a, p_b, p_c, p_d, k_cos: float):
     Each individual component has magnitude k_cos*cos(theta) (or is zero when
     skipped); the net returned by attract_repel_cosine is their sum.
     """
-    x = _attract_repel_point(p_a, p_b, p_c, p_d)
-    if x is None:
+    if proper_intersection((p_a, p_b), (p_c, p_d)) is None:
         z = ForceVector(0.0, 0.0)
         zero = CrossingForces(z, z, z, z)
         return zero, zero
-    att, rep = _attract_repel_arrays(*_rows(p_a, p_b, p_c, p_d), x, k_cos, split=True)
+    att, rep = _attract_repel_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos, split=True)
     return _pack(*att), _pack(*rep)

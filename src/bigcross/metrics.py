@@ -94,7 +94,7 @@ def measure(graph: Graph, layout: Layout) -> MetricsReport:
     Raises ValueError when the layout's size does not match the graph.
     """
     _, quads = _crossing_arrays(graph, layout.positions)
-    return _report(graph, layout, _acute_angles(layout.positions, quads))
+    return _report(graph, layout, _acute_angles(*layout.positions.take(quads.T, axis=0)))
 
 
 def _report(graph: Graph, layout: Layout, thetas) -> MetricsReport:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from bigcross import bench
 from bigcross.bench import (
     BenchError,
     BenchRecord,
@@ -145,6 +146,14 @@ class TestRunBenchmark:
     def test_count_below_minimum_rejected(self):
         with pytest.raises(BenchError):
             run_benchmark(["erdos_renyi"], 3, master_seed=1, params=FAST)
+
+    def test_watts_strogatz_below_five_rejected_before_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a record was run before the size check")
+        monkeypatch.setattr(bench, "run_pair", no_work)
+        with pytest.raises(BenchError, match="watts_strogatz needs n >= 5"):
+            run_benchmark(["erdos_renyi", "watts_strogatz"], 6, master_seed=1,
+                          params=FAST, n_range=(4, 8))
 
     def test_models_cycled(self):
         params = replace(FAST, max_iterations=50)

@@ -307,6 +307,14 @@ class TestCliBench:
                   "--master-seed", "1", "--outdir", str(tmp_path / "out"))
         assert res.returncode == 1
 
+    def test_watts_strogatz_below_five_is_usage_error(self, tmp_path):
+        out = tmp_path / "out"
+        res = cli("bench", "--models", "watts-strogatz", "--count", "6", "--master-seed", "1",
+                  "--n-min", "3", "--n-max", "6", "--outdir", str(out))
+        assert res.returncode == 1
+        assert "watts_strogatz needs n >= 5" in res.stderr
+        assert not out.exists()
+
 
 class TestCliRender:
     def test_render_svg_file(self, tmp_path):

@@ -1,7 +1,10 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigcross.crossings import _acute_angles, find_crossings, proper_intersection
 from bigcross.engine import initial_placement
@@ -72,9 +75,8 @@ class TestProperIntersection:
 
 
 def acute_angle(seg1, seg2) -> float:
-    """`_acute_angles` of one edge pair, given as two segments (a one-row quad)."""
-    pos = np.array([*seg1, *seg2], dtype=np.float64)
-    return float(_acute_angles(pos, np.array([[0, 1, 2, 3]]))[0])
+    """`_acute_angles` of one edge pair, given as two segments (one-row endpoint arrays)."""
+    return float(_acute_angles(*(np.array([p], dtype=np.float64) for p in (*seg1, *seg2)))[0])
 
 
 class TestCrossingAngle:
@@ -181,11 +183,51 @@ class TestFindCrossings:
                 e1, e2 = g.edges[c.edge_a], g.edges[c.edge_b]
                 s1 = (tuple(pos[e1[0]]), tuple(pos[e1[1]]))
                 s2 = (tuple(pos[e2[0]]), tuple(pos[e2[1]]))
+                (ux, uy), (vx, vy) = np.subtract(s1[1], s1[0]), np.subtract(s2[1], s2[0])
                 pt = proper_intersection(s1, s2)
                 assert pt is not None
                 assert math.dist(pt, c.point) < 1e-9
-                (ux, uy), (vx, vy) = np.subtract(s1[1], s1[0]), np.subtract(s2[1], s2[0])
+                # Independent solve, along the second segment: p3 + w * v with
+                # w = ((p3 - p1) x u) / (u x v).
+                (x1, y1), (x3, y3) = s1[0], s2[0]
+                w = ((x3 - x1) * uy - (y3 - y1) * ux) / (ux * vy - uy * vx)
+                assert math.dist((x3 + w * vx, y3 + w * vy), c.point) < 1e-9
                 expected = math.degrees(math.atan2(abs(ux * vy - uy * vx),
                                                    abs(ux * vx + uy * vy)))
                 assert c.theta == pytest.approx(expected, abs=1e-9)
                 assert 0.0 < c.theta <= 90.0
+
+
+def exact_crosses(p1, p2, p3, p4):
+    """Proper crossing of (p1, p2) and (p3, p4) in exact rational arithmetic."""
+    def side(a, b, c):
+        (ax, ay), (bx, by), (cx, cy) = ([Fraction(v) for v in p] for p in (a, b, c))
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return side(p1, p2, p3) * side(p1, p2, p4) < 0 and side(p3, p4, p1) * side(p3, p4, p2) < 0
+
+
+# Grid coordinates i * 2**-s with |i| <= 4 and 0 <= s <= 20 are multiples of
+# 2**-20 below 2**2, so every float64 orientation of them is exact, and a
+# float predicate that disagrees with the rational oracle is wrong.
+grid = st.builds(lambda i, s: i * 2.0 ** -s, st.integers(-4, 4), st.integers(0, 20))
+
+
+class TestExactGrid:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(grid, grid), min_size=4, max_size=7))
+    def test_matches_fraction_oracle(self, pts):
+        # The complete graph on the drawn points: coincident points, shared
+        # endpoints, collinear overlaps and endpoint-on-interior touches are
+        # all among its edge pairs.
+        edges = list(itertools.combinations(range(len(pts)), 2))
+        g = make_graph(len(pts), edges)
+        expected = set()
+        for i, j in itertools.combinations(range(len(edges)), 2):
+            (a, b), (c, d) = edges[i], edges[j]
+            crosses = exact_crosses(pts[a], pts[b], pts[c], pts[d])
+            got = proper_intersection((pts[a], pts[b]), (pts[c], pts[d]))
+            assert (got is not None) == crosses
+            if crosses:
+                expected.add((g.edges.index(edges[i]), g.edges.index(edges[j])))
+        found = find_crossings(g, Layout(pts))
+        assert {(c.edge_a, c.edge_b) for c in found} == expected

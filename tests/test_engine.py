@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from bigcross import forces
-from bigcross.crossings import _intersection_points, find_crossings
+from bigcross.crossings import find_crossings
 from bigcross.engine import (
     EngineError,
     _jitter_angle,
@@ -57,7 +57,7 @@ def _reference_distance_pass(pos):
 
 
 def _reference_quads(graph, pos):
-    """Endpoint ids (K, 4) of the crossing pairs, by `_orient` over every candidate."""
+    """Endpoint ids (K, 4) of the crossing pairs, by orientation signs over every candidate."""
     quads = graph.edge_array[graph.nonadjacent_edge_pairs].reshape(-1, 4)
     p1, p2, p3, p4 = (pos[quads[:, k]] for k in range(4))
 
@@ -108,12 +108,8 @@ def reference_step(graph, pos, params):
         quads = _reference_quads(graph, pos)
         if quads.shape[0]:
             ends = [pos[quads[:, k]] for k in range(4)]
-            if params.variant == "attract_repel":
-                fs = forces._attract_repel_arrays(*ends, _intersection_points(pos, quads),
-                                                  params.k_cos)
-            else:
-                kernel = getattr(forces, f"_{params.variant}_arrays")
-                fs = kernel(*ends, params.k_cos)
+            kernel = getattr(forces, f"_{params.variant}_arrays")
+            fs = kernel(*ends, params.k_cos)
             idx = quads.T.ravel()
             for c in range(2):
                 F[:, c] += np.bincount(idx, np.concatenate([f[:, c] for f in fs]), minlength=n)

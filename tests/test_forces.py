@@ -117,8 +117,7 @@ def kernel_magnitudes(pts, k_cos):
     each of which has the cosine-force magnitude.
     """
     pa, pb, pc, pd = (np.array([p], dtype=np.float64) for p in pts)
-    x = np.array([proper_intersection((pts[0], pts[1]), (pts[2], pts[3]))])
-    att, rep = _attract_repel_arrays(pa, pb, pc, pd, x, k_cos, split=True)
+    att, rep = _attract_repel_arrays(pa, pb, pc, pd, k_cos, split=True)
     forces = (*_parallel_arrays(pa, pb, pc, pd, k_cos),
               *_rotational_arrays(pa, pb, pc, pd, k_cos), *att, *rep)
     return [math.hypot(*f[0]) for f in forces]
@@ -322,11 +321,10 @@ class TestVectorizedMatchesScalar:
         pb = np.array([p[1] for p in pts_all])
         pc = np.array([p[2] for p in pts_all])
         pd = np.array([p[3] for p in pts_all])
-        x = np.array([proper_intersection((p[0], p[1]), (p[2], p[3])) for p in pts_all])
         batches = {
             "parallel": _parallel_arrays(pa, pb, pc, pd, 1.0),
             "rotational": _rotational_arrays(pa, pb, pc, pd, 1.0),
-            "attract_repel": _attract_repel_arrays(pa, pb, pc, pd, x, 1.0),
+            "attract_repel": _attract_repel_arrays(pa, pb, pc, pd, 1.0),
         }
         for name, batch in batches.items():
             fn = VARIANTS[name]

@@ -31,7 +31,12 @@ of outputs and the sha256 of their exact bytes (floats hashed as hex):
              `attract_repel_cosine` and `attract_repel_components` on
              SCALAR_CONFIGS seeded random float configurations in [-2, 2]^2
              and as many with integer coordinates in [-3, 3], which are
-             often collinear, touching or sharing a point.
+             often collinear, touching or sharing a point;
+- kernels:   `np.asarray` of the engine's three cosine kernels,
+             `_parallel_arrays`, `_rotational_arrays` and `_attract_repel_arrays`,
+             on one seeded batch of KERNEL_CROSSINGS proper crossings: random
+             float configurations in [-2, 2]^2 and exact right angles on
+             small integer coordinates, shuffled together.
 """
 
 from __future__ import annotations
@@ -47,9 +52,12 @@ from dataclasses import replace
 import numpy as np
 
 from bigcross import bench, cli, generators, io as gio
-from bigcross.crossings import find_crossings, proper_intersection
+from bigcross.crossings import _crosses, find_crossings, proper_intersection
 from bigcross.engine import initial_placement, run, step, total_force
 from bigcross.forces import (
+    _attract_repel_arrays,
+    _parallel_arrays,
+    _rotational_arrays,
     attract_repel_components,
     attract_repel_cosine,
     parallel_cosine,
@@ -66,6 +74,7 @@ SCALE_ITERATIONS = 2000
 LARGE_N = 1000
 LARGE_ITERATIONS = 4
 SCALAR_CONFIGS = 3000
+KERNEL_CROSSINGS = 2000
 
 
 def _feed(h, value):
@@ -94,10 +103,35 @@ def _cli(argv) -> bytes:
     return f"exit {code}\n{out.getvalue()}".encode()
 
 
+def _kernel_batch(rng) -> np.ndarray:
+    """(4, KERNEL_CROSSINGS, 2) endpoints [a, b, c, d] of proper crossings.
+
+    One in ten crosses at an exact right angle: integer directions r and
+    perp(r) through an integer point, so u . v is exactly zero.
+    """
+    right = KERNEL_CROSSINGS // 10
+    pts = rng.uniform(-2, 2, size=(4, 4 * KERNEL_CROSSINGS, 2))
+    pts = pts[:, _crosses(pts[..., 0], pts[..., 1])][:, :KERNEL_CROSSINGS - right]
+    r = rng.integers(-3, 4, size=(right, 2))
+    r[~r.any(axis=1)] = (1, 2)
+    w = np.stack([-r[:, 1], r[:, 0]], axis=1)
+    x = rng.integers(-5, 6, size=(right, 2))
+    t = rng.integers(1, 4, size=(4, right, 1))
+    square = np.stack([x - t[0] * r, x + t[1] * r, x - t[2] * w, x + t[3] * w])
+    pts = np.concatenate([pts, square.astype(np.float64)], axis=1)
+    return np.ascontiguousarray(pts[:, rng.permutation(KERNEL_CROSSINGS)])
+
+
+def _kernel_outputs() -> list:
+    pa, pb, pc, pd = _kernel_batch(np.random.default_rng(20260808))
+    return [np.asarray(kernel(pa, pb, pc, pd, 1.5))
+            for kernel in (_parallel_arrays, _rotational_arrays, _attract_repel_arrays)]
+
+
 def main() -> int:
     groups = {name: hashlib.sha256()
               for name in ("run", "measure", "crossings", "force", "step", "cli", "bench",
-                           "scale", "scalar")}
+                           "scale", "scalar", "kernels")}
     used = []
     records = []
     first = None
@@ -186,6 +220,8 @@ def main() -> int:
             _feed(groups["scalar"], [cf.on_a, cf.on_b, cf.on_c, cf.on_d])
         for cf in attract_repel_components(a, b, c, d, 1.5):
             _feed(groups["scalar"], [cf.on_a, cf.on_b, cf.on_c, cf.on_d])
+
+    _feed(groups["kernels"], _kernel_outputs())
 
     print(f"records {used}")
     total = hashlib.sha256()

@@ -96,11 +96,17 @@ def _cmd_layout(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _cmd_measure(args, parser: _Parser) -> int:
+def _read_drawing(args):
+    """The (graph, layout) named by --graph and --layout; DataError if their sizes differ."""
     graph = gio.read_edge_list(args.graph)
     layout, _ = gio.read_layout(args.layout)
     if layout.n != graph.n:
         raise DataError(f"graph has {graph.n} vertices but layout has {layout.n} positions")
+    return graph, layout
+
+
+def _cmd_measure(args, parser: _Parser) -> int:
+    graph, layout = _read_drawing(args)
     if args.crossings:
         found = find_crossings(graph, layout)
         doc = _report(graph, layout, [c.theta for c in found]).to_dict()
@@ -142,10 +148,7 @@ def _cmd_bench(args, parser: _Parser) -> int:
 
 
 def _cmd_render(args, parser: _Parser) -> int:
-    graph = gio.read_edge_list(args.graph)
-    layout, _ = gio.read_layout(args.layout)
-    if layout.n != graph.n:
-        raise DataError(f"graph has {graph.n} vertices but layout has {layout.n} positions")
+    graph, layout = _read_drawing(args)
     gio.render_svg(graph, layout, args.out, annotate_crossings=args.annotate)
     print(args.out)
     return EXIT_OK

@@ -39,6 +39,7 @@ from .crossings import Crossing, _crossing_arrays
 from .forces import (
     COINCIDENCE_EPS,
     _attract_repel_arrays,
+    _opposed,
     _parallel_arrays,
     _rotational_arrays,
 )
@@ -137,8 +138,8 @@ def _force_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams,
     repulsion is the (n, 2) term of `_repulsion`. quads holds the (K, 4)
     endpoint vertex ids of the current crossings, or None when the cosine
     force is inactive. Summation order is fixed, (springs + repulsion) +
-    cosine, and each group scatters with one `bincount` over bins 2*v + axis
-    in a fixed order, so results are reproducible.
+    cosine; springs (2, m, 2) [on_v, on_u] and cosine forces (4, K, 2)
+    [a, b, c, d] each ravel into one `bincount` over bins 2*v + axis.
     """
     n = graph.n
     e = graph.edge_array
@@ -148,9 +149,8 @@ def _force_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams,
         d = np.sqrt((delta * delta).sum(axis=1))
         ok = d >= COINCIDENCE_EPS
         mag = np.where(ok, params.k_s * (d - params.l), 0.0)
-        fv = (mag / np.where(ok, d, 1.0))[:, None] * delta
-        w = np.concatenate([fv, -fv]).ravel()
-        F = np.bincount(graph.edge_scatter_ids, w, minlength=2 * n).reshape(n, 2)
+        f = _opposed(mag / np.where(ok, d, 1.0), delta[:, 0], delta[:, 1])
+        F = np.bincount(graph.edge_scatter_ids, f.ravel(), minlength=2 * n).reshape(n, 2)
     else:
         F = np.zeros((n, 2), dtype=np.float64)
 
@@ -160,9 +160,9 @@ def _force_arrays(graph: Graph, pos: np.ndarray, params: LayoutParams,
         kernel = (_parallel_arrays if params.variant == "parallel"
                   else _rotational_arrays if params.variant == "rotational"
                   else _attract_repel_arrays)
-        forces = kernel(*pos.take(quads.T, axis=0), params.k_cos)
+        f = kernel(*pos.take(quads.T, axis=0), params.k_cos)
         ids = _scatter_bins(quads.T.ravel())
-        F += np.bincount(ids, np.concatenate(forces).ravel(), minlength=2 * n).reshape(n, 2)
+        F += np.bincount(ids, f.ravel(), minlength=2 * n).reshape(n, 2)
 
     return F
 

@@ -22,9 +22,10 @@ v = (d-c)/L_cd, s = u . v and u x v the 2D cross product, it is
 
 so only a crossing of two equal-length edges leaves the drawing unspun.
 
-The scalar functions call the engine's kernels, `_<scheme>_arrays(pa, pb,
-pc, pd, k_cos)`, with one-row (1, 2) endpoint arrays, so per-crossing
-results are identical whichever path computes them.
+The engine's kernels `_<scheme>_arrays(pa, pb, pc, pd, k_cos)` map the (K, 2)
+endpoints of K crossings to one C-contiguous float64 (4, K, 2) array of
+per-endpoint forces, rows [a, b, c, d]. The scalar functions call them with
+K = 1, so per-crossing results are identical whichever path computes them.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def _unit(dx: np.ndarray, dy: np.ndarray):
     """Normalize vectors given as component arrays; short vectors become zero."""
     n = np.sqrt(dx * dx + dy * dy)
     ok = n >= NORM_EPS
-    safe = np.where(ok, n, 1.0)
-    return np.where(ok, dx / safe, 0.0), np.where(ok, dy / safe, 0.0), ok
+    n[~ok] = 1.0
+    return np.where(ok, dx / n, 0.0), np.where(ok, dy / n, 0.0), ok
 
 
 def _edge_directions(pa, pb, pc, pd):
@@ -105,8 +106,21 @@ def _edge_directions(pa, pb, pc, pd):
     return ux, uy, np.where(ok[0] & ok[1], ux[0] * ux[1] + uy[0] * uy[1], 0.0)
 
 
+def _opposed(s, x, y) -> np.ndarray:
+    """Rows [f, -f] of the forces f = s * (x, y), as one C-contiguous float64 array.
+
+    x and y are (K,) or (R, K) and s broadcasts against them; the result is
+    (2, K, 2), or (2R, K, 2) with rows [f_0, -f_0, f_1, -f_1, ...].
+    """
+    out = np.empty((*x.shape[:-1], 2, x.shape[-1], 2))
+    np.multiply(s, x, out=out[..., 0, :, 0])
+    np.multiply(s, y, out=out[..., 0, :, 1])
+    np.negative(out[..., 0, :, :], out=out[..., 1, :, :])
+    return out.reshape(2 * math.prod(x.shape[:-1]), x.shape[-1], 2)
+
+
 def _parallel_arrays(pa, pb, pc, pd, k_cos):
-    """Vectorized parallel cosine forces; each argument is a (K, 2) array.
+    """Vectorized parallel cosine forces: (K, 2) endpoints in, (4, K, 2) [a, b, c, d] out.
 
     With unit directions u = (b-a)/|b-a| and v = (d-c)/|d-c| and
     s = u . v (signed, |s| = cos theta):
@@ -118,97 +132,86 @@ def _parallel_arrays(pa, pb, pc, pd, k_cos):
     |cos theta| to first order; the same holds at every endpoint.
     """
     ux, uy, s = _edge_directions(pa, pb, pc, pd)
-    ks = k_cos * s
-    # fa = ks * v and fc = ks * u, written as (K, 2) rows of one array.
-    f = np.empty((2, ks.size, 2))
-    np.multiply(ks, ux[::-1], out=f[..., 0])
-    np.multiply(ks, uy[::-1], out=f[..., 1])
-    fa, fc = f
-    return fa, -fa, fc, -fc
+    return _opposed(k_cos * s, ux[::-1], uy[::-1])
 
 
 def _rotational_arrays(pa, pb, pc, pd, k_cos):
-    """Vectorized rotational cosine forces.
+    """Vectorized rotational cosine forces: (K, 2) endpoints in, (4, K, 2) [a, b, c, d] out.
 
     on_a is perpendicular to edge (a, b) with magnitude k_cos*cos(theta); the
     perpendicular w = perp(u) is oriented by sign((u.v) * (w.v)) so that the
     first-order effect of the step shrinks |cos theta|. Parallel or
     perpendicular configurations give zero. on_b = -on_a, and c, d get the
-    symmetric construction perpendicular to (c, d).
+    same construction perpendicular to (c, d), in row 1 of the edge stacks.
     """
-    (uhx, vhx), (uhy, vhy), dot = _edge_directions(pa, pb, pc, pd)
-    cosang = np.abs(dot)
-    wx, wy = -uhy, uhx
-    cross_uv = wx * vhx + wy * vhy
-    sa = np.sign(dot * cross_uv) * k_cos * cosang
-    fa = np.stack([sa * wx, sa * wy], axis=1)
-    w2x, w2y = -vhy, vhx
-    cross_vu = w2x * uhx + w2y * uhy
-    sc = np.sign(dot * cross_vu) * k_cos * cosang
-    fc = np.stack([sc * w2x, sc * w2y], axis=1)
-    return fa, -fa, fc, -fc
+    ux, uy, dot = _edge_directions(pa, pb, pc, pd)
+    wx, wy = -uy, ux
+    cross = wx * ux[::-1] + wy * uy[::-1]
+    return _opposed(np.sign(dot * cross) * k_cos * np.abs(dot), wx, wy)
 
 
-def _attract_repel_endpoint(pe, po1, po2, x, base):
-    """Attract/repel components for one endpoint against the other edge.
+def _scaled_unit(base, d):
+    """Overwrite the (..., 2) rows of d with base times their `_unit` vectors (zero if none)."""
+    ux, uy, _ = _unit(d[..., 0], d[..., 1])
+    np.multiply(base, ux, out=d[..., 0])
+    np.multiply(base, uy, out=d[..., 1])
+    return d
 
-    The endpoint attracts toward whichever of the other edge's endpoints
-    subtends an obtuse angle with it at the intersection point x, and repels
-    from the remaining one; both components have magnitude `base`.
-    Components whose direction is undefined (endpoint on top of its target)
-    are skipped.
+
+def _attract_repel_parts(pa, pb, pc, pd, k_cos):
+    """Attract and repel components of the attract/repel cosine force, as (att, rep).
+
+    Each is (4, K, 2), rows [a, b, c, d], for (K, 2) endpoints of properly
+    crossing edges. Every endpoint attracts toward whichever endpoint of the
+    other edge subtends an obtuse angle with it at the intersection point,
+    and repels from the remaining one; both components have magnitude
+    k_cos*cos(theta). Components whose direction is undefined (endpoint on
+    top of its target) are zero.
     """
-    d1 = ((pe[:, 0] - x[:, 0]) * (po1[:, 0] - x[:, 0])
-          + (pe[:, 1] - x[:, 1]) * (po1[:, 1] - x[:, 1]))
-    toward1 = (d1 < 0)[:, None]
-    pt = np.where(toward1, po1, po2)
-    pr = np.where(toward1, po2, po1)
-    ax, ay, oka = _unit(pt[:, 0] - pe[:, 0], pt[:, 1] - pe[:, 1])
-    rx, ry, okr = _unit(pe[:, 0] - pr[:, 0], pe[:, 1] - pr[:, 1])
-    att = np.stack([base * ax, base * ay], axis=1) * oka[:, None]
-    rep = np.stack([base * rx, base * ry], axis=1) * okr[:, None]
-    return att, rep
+    x = _intersection_points(pa, pb, pc, pd)
+    base = k_cos * np.abs(_edge_directions(pa, pb, pc, pd)[2])
+    # ends[i, j] is endpoint j of edge i, and o1, o2 are views of the other
+    # edge's two endpoints. `del` drops (4, K, 2) temporaries once used.
+    ends = np.stack([pa, pb, pc, pd]).reshape(2, 2, len(pa), 2)
+    o1, o2 = ends[::-1, :1], ends[::-1, 1:]
+    r, s = ends - x, o1 - x
+    toward1 = (r[..., 0] * s[..., 0] + r[..., 1] * s[..., 1] < 0)[..., None]
+    del x, r, s
+    att = _scaled_unit(base, np.where(toward1, o1, o2) - ends)
+    rep = _scaled_unit(base, ends - np.where(toward1, o2, o1))
+    return att.reshape(4, len(pa), 2), rep.reshape(4, len(pa), 2)
 
 
-def _attract_repel_arrays(pa, pb, pc, pd, k_cos, split: bool = False):
-    """Vectorized attract/repel cosine forces on properly crossing edge pairs.
-
-    Returns net per-endpoint forces (fa, fb, fc, fd); with split=True returns
-    ((attract...), (repel...)) component tuples instead.
-    """
-    points = _intersection_points(pa, pb, pc, pd)
-    cosang = np.abs(_edge_directions(pa, pb, pc, pd)[2])
-    base = k_cos * cosang
-    aa, ar = _attract_repel_endpoint(pa, pc, pd, points, base)
-    ba, br = _attract_repel_endpoint(pb, pc, pd, points, base)
-    ca, cr = _attract_repel_endpoint(pc, pa, pb, points, base)
-    da, dr = _attract_repel_endpoint(pd, pa, pb, points, base)
-    if split:
-        return (aa, ba, ca, da), (ar, br, cr, dr)
-    return aa + ar, ba + br, ca + cr, da + dr
+def _attract_repel_arrays(pa, pb, pc, pd, k_cos):
+    """Net attract/repel cosine forces, att + rep of `_attract_repel_parts`, as (4, K, 2)."""
+    att, rep = _attract_repel_parts(pa, pb, pc, pd, k_cos)
+    return att + rep
 
 
 def _rows(*pts):
     return [np.array([[p[0], p[1]]], dtype=np.float64) for p in pts]
 
 
-def _pack(fa, fb, fc, fd) -> CrossingForces:
-    return CrossingForces(
-        ForceVector(float(fa[0, 0]), float(fa[0, 1])),
-        ForceVector(float(fb[0, 0]), float(fb[0, 1])),
-        ForceVector(float(fc[0, 0]), float(fc[0, 1])),
-        ForceVector(float(fd[0, 0]), float(fd[0, 1])),
-    )
+def _pack(f) -> CrossingForces:
+    """CrossingForces from the rows of one (4, 1, 2) kernel output."""
+    return CrossingForces(*(ForceVector(*row[0].tolist()) for row in f))
 
 
 def parallel_cosine(p_a, p_b, p_c, p_d, k_cos: float) -> CrossingForces:
     """Parallel cosine forces on the endpoints of crossing edges (a,b) x (c,d)."""
-    return _pack(*_parallel_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos))
+    return _pack(_parallel_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos))
 
 
 def rotational_cosine(p_a, p_b, p_c, p_d, k_cos: float) -> CrossingForces:
     """Rotational cosine forces on the endpoints of crossing edges (a,b) x (c,d)."""
-    return _pack(*_rotational_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos))
+    return _pack(_rotational_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos))
+
+
+def _attract_repel_one(p_a, p_b, p_c, p_d, k_cos):
+    """`_attract_repel_parts` of one crossing; zeros unless the segments properly cross."""
+    if proper_intersection((p_a, p_b), (p_c, p_d)) is None:
+        return np.zeros((2, 4, 1, 2))
+    return _attract_repel_parts(*_rows(p_a, p_b, p_c, p_d), k_cos)
 
 
 def attract_repel_cosine(p_a, p_b, p_c, p_d, k_cos: float) -> CrossingForces:
@@ -216,10 +219,8 @@ def attract_repel_cosine(p_a, p_b, p_c, p_d, k_cos: float) -> CrossingForces:
 
     The segments must properly cross; degenerate input yields zero forces.
     """
-    if proper_intersection((p_a, p_b), (p_c, p_d)) is None:
-        z = ForceVector(0.0, 0.0)
-        return CrossingForces(z, z, z, z)
-    return _pack(*_attract_repel_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos))
+    att, rep = _attract_repel_one(p_a, p_b, p_c, p_d, k_cos)
+    return _pack(att + rep)
 
 
 def attract_repel_components(p_a, p_b, p_c, p_d, k_cos: float):
@@ -228,9 +229,4 @@ def attract_repel_components(p_a, p_b, p_c, p_d, k_cos: float):
     Each individual component has magnitude k_cos*cos(theta) (or is zero when
     skipped); the net returned by attract_repel_cosine is their sum.
     """
-    if proper_intersection((p_a, p_b), (p_c, p_d)) is None:
-        z = ForceVector(0.0, 0.0)
-        zero = CrossingForces(z, z, z, z)
-        return zero, zero
-    att, rep = _attract_repel_arrays(*_rows(p_a, p_b, p_c, p_d), k_cos, split=True)
-    return _pack(*att), _pack(*rep)
+    return tuple(map(_pack, _attract_repel_one(p_a, p_b, p_c, p_d, k_cos)))

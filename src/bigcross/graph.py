@@ -189,7 +189,7 @@ class LayoutParams:
     The k_cos constant only matters for the three cosine variants; the
     classical variant ignores it. k_cos may be zero (which makes any cosine
     variant reproduce the classical trajectory exactly); all other constants
-    must be positive.
+    must be positive. None may be nan or infinite.
     """
 
     k_s: float = 1.0
@@ -210,10 +210,10 @@ class LayoutParams:
 
     def __post_init__(self):
         for name in ("k_s", "k_r", "l", "step", "max_disp", "move_threshold"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.k_cos < 0:
-            raise ValueError(f"k_cos must be >= 0, got {self.k_cos}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 <= self.k_cos < np.inf:
+            raise ValueError(f"k_cos must be finite and >= 0, got {self.k_cos}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):

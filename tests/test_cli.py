@@ -4,6 +4,7 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigcross import cli as cli_mod, crossings, engine, metrics
 from bigcross.generators import gen_erdos_renyi
@@ -24,6 +25,24 @@ from bigcross.metrics import measure
 def cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "bigcross", *args],
                           capture_output=True, text=True, cwd=cwd)
+
+
+# Edge-list-shaped documents: a header whose edge count is often right, and
+# lines that are mostly vertex pairs, so that the header, edge-count, token
+# and graph checks are all reached; tokens include signs, floats, hex,
+# non-ASCII digits and integers too long to parse.
+_small = st.integers(-1, 5).map(str)
+_token = st.one_of(_small, _small, _small,
+                   st.sampled_from(["", "x", "1.5", "+1", "0x1", "\u0663", "9" * 30, "9" * 5000]))
+_pair = st.tuples(_small, _small).map(" ".join)
+_line = st.one_of(_pair, _pair, _pair, st.lists(_token, min_size=1, max_size=3).map(" ".join))
+
+
+@st.composite
+def edge_list_documents(draw):
+    edges = draw(st.lists(_line, max_size=6))
+    m = draw(st.one_of(st.just(str(len(edges))), _token))
+    return "\n".join([f"{draw(_token)} {m}", *edges])
 
 
 class TestEdgeListFormat:
@@ -49,6 +68,15 @@ class TestEdgeListFormat:
     def test_graph_violations_surface_as_data_errors(self):
         with pytest.raises(DataError, match="self-loop"):
             parse_edge_list("2 1\n1 1\n")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.one_of(st.text(), edge_list_documents()))
+    def test_arbitrary_text_raises_only_data_error(self, text):
+        try:
+            g = parse_edge_list(text)
+        except DataError:
+            return
+        assert parse_edge_list(edge_list_text(g)) == g
 
 
 class TestLayoutFormat:

@@ -7,6 +7,7 @@ from bigcross.crossings import proper_intersection
 from bigcross.forces import (
     CrossingForces,
     _attract_repel_arrays,
+    _attract_repel_parts,
     _parallel_arrays,
     _rotational_arrays,
     attract_repel_components,
@@ -117,7 +118,7 @@ def kernel_magnitudes(pts, k_cos):
     each of which has the cosine-force magnitude.
     """
     pa, pb, pc, pd = (np.array([p], dtype=np.float64) for p in pts)
-    att, rep = _attract_repel_arrays(pa, pb, pc, pd, k_cos, split=True)
+    att, rep = _attract_repel_parts(pa, pb, pc, pd, k_cos)
     forces = (*_parallel_arrays(pa, pb, pc, pd, k_cos),
               *_rotational_arrays(pa, pb, pc, pd, k_cos), *att, *rep)
     return [math.hypot(*f[0]) for f in forces]
@@ -327,12 +328,19 @@ class TestVectorizedMatchesScalar:
             "attract_repel": _attract_repel_arrays(pa, pb, pc, pd, 1.0),
         }
         for name, batch in batches.items():
+            assert isinstance(batch, np.ndarray) and batch.dtype == np.float64
+            assert batch.shape == (4, 64, 2) and batch.flags.c_contiguous
+            if name != "attract_repel":
+                assert batch[1].tobytes() == (-batch[0]).tobytes()
+                assert batch[3].tobytes() == (-batch[2]).tobytes()
             fn = VARIANTS[name]
             for k, pts in enumerate(pts_all):
                 cf = fn(*pts, 1.0)
                 for arr, f in zip(batch, (cf.on_a, cf.on_b, cf.on_c, cf.on_d)):
                     assert arr[k, 0] == f.fx
                     assert arr[k, 1] == f.fy
+        att, rep = _attract_repel_parts(pa, pb, pc, pd, 1.0)
+        assert (att + rep).tobytes() == batches["attract_repel"].tobytes()
 
     def test_degenerate_edge_gives_zero(self):
         z = parallel_cosine((0, 0), (0, 0), (0, 1), (1, 0), 1.0)

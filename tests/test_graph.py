@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,8 @@ class TestLayoutParams:
     @pytest.mark.parametrize("bad", [
         {"k_s": 0}, {"k_r": -1}, {"l": 0}, {"step": 0}, {"move_threshold": 0},
         {"max_iterations": 0}, {"variant": "bogus"}, {"k_cos": -0.5},
+        {"k_cos": math.nan}, {"k_cos": math.inf}, {"k_s": math.nan}, {"k_s": math.inf},
+        {"step": math.inf}, {"max_disp": math.inf}, {"move_threshold": math.nan},
     ])
     def test_invalid_params_rejected(self, bad):
         with pytest.raises(ValueError):
